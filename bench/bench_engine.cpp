@@ -291,8 +291,9 @@ bench::RowResult run_workload(const bench::RowSpec& spec) {
   } else if (spec.algo == "ping_ring_10M") {
     row = ping_ring(spec.algo, 1024, 64, 150);
   } else {
-    require(spec.algo == "sync_flood_1M",
-            "bench_engine: unknown workload " + spec.algo);
+    if (spec.algo != "sync_flood_1M") {
+      require(false, "bench_engine: unknown workload " + spec.algo);
+    }
     row = sync_flood_grid(spec.algo, 64, 11);
   }
   bench::RowResult out;

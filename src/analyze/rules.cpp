@@ -420,6 +420,67 @@ void scale1(const FileCtx& ctx, std::vector<Finding>& out) {
   }
 }
 
+// ---------------------------------------------------------------- PERF-1
+// require/ensure take the message as a std::string_view and format it
+// only when they throw, so a literal message costs nothing on the
+// passing path. A message *built* at the call site — `+` at the top
+// level of the argument, std::to_string, a std::string(...) temporary,
+// a string stream — is built on every passing call too. The one
+// exemption is a literal `false` condition: that call always throws,
+// so the message is built exactly when it is needed.
+void perf1(const FileCtx& ctx, std::vector<Finding>& out) {
+  const std::vector<Token>& t = *ctx.code;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if ((!t[i].ident("require") && !t[i].ident("ensure")) ||
+        !t[i + 1].punct("(")) {
+      continue;
+    }
+    const Token& prev = i > 0 ? t[i - 1] : at(t, kNpos);
+    if (prev.punct(".") || prev.punct("->")) continue;
+    const std::size_t close = find_close_paren(t, i + 1);
+    if (close == kNpos) continue;
+    // Top-level comma positions split the arguments.
+    std::vector<std::size_t> commas;
+    int depth = 0;
+    for (std::size_t j = i + 2; j < close; ++j) {
+      if (t[j].kind != TokKind::kPunct) continue;
+      const std::string_view p = t[j].text;
+      if (p == "(" || p == "[" || p == "{") ++depth;
+      else if (p == ")" || p == "]" || p == "}") --depth;
+      else if (p == "," && depth == 0) commas.push_back(j);
+    }
+    if (commas.empty()) continue;
+    if (commas[0] == i + 3 && t[i + 2].ident("false")) continue;
+    const std::size_t msg_end = commas.size() > 1 ? commas[1] : close;
+    const char* built = nullptr;
+    depth = 0;
+    for (std::size_t j = commas[0] + 1; j < msg_end && built == nullptr;
+         ++j) {
+      if (t[j].kind == TokKind::kPunct) {
+        const std::string_view p = t[j].text;
+        if (p == "(" || p == "[" || p == "{") ++depth;
+        else if (p == ")" || p == "]" || p == "}") --depth;
+        else if (p == "+" && depth == 0) built = "'+' concatenation";
+      } else if (t[j].ident("to_string")) {
+        built = "std::to_string";
+      } else if (t[j].ident("string") &&
+                 (at(t, j + 1).punct("(") || at(t, j + 1).punct("{"))) {
+        built = "a std::string temporary";
+      } else if (t[j].ident("ostringstream") ||
+                 t[j].ident("stringstream")) {
+        built = "a string stream";
+      }
+    }
+    if (built == nullptr) continue;
+    out.push_back(Finding{
+        "PERF-1", ctx.path, t[i].line,
+        std::string(t[i].text) + "() message built with " + built +
+            " at the call: it is built on every passing call too — pass "
+            "a literal, or test the condition first and call " +
+            std::string(t[i].text) + "(false, ...) on the failing path"});
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& rule_table() {
@@ -435,6 +496,9 @@ const std::vector<RuleInfo>& rule_table() {
       {"COST-2", "ledger/meter fields mutate only at accessor sites"},
       {"SCALE-1",
        "no per-element heap allocation inside simulation-visible loops"},
+      {"PERF-1",
+       "require/ensure messages are not built at the call unless the "
+       "condition is literally false"},
       {"SUP-1", "suppressions name a known rule and carry a reason"},
   };
   return kTable;
@@ -455,6 +519,7 @@ void run_rules(const FileCtx& ctx, std::vector<Finding>& out) {
   cost1(ctx, out);
   cost2(ctx, out);
   scale1(ctx, out);
+  perf1(ctx, out);
 }
 
 std::vector<Suppression> parse_suppressions(

@@ -29,6 +29,11 @@
 //          (sim/process_store.h) that the million-node capacity target
 //          (docs/scale.md) rests on. Bounded per-shard/per-run loops
 //          are the intended suppression case.
+//   PERF-1 no require()/ensure() message built at the call (`+`,
+//          std::to_string, std::string(...), string streams) unless
+//          the condition is literally `false` — the checks take a
+//          std::string_view so passing calls never allocate, and a
+//          built message would put the allocation back on every call.
 //   SUP-1  (meta) every suppression names a known rule and carries a
 //          non-empty reason.
 //

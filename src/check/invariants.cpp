@@ -16,6 +16,19 @@ std::string at_time(double t) {
 }
 }  // namespace
 
+void DefaultInvariantChecker::ArrivalFifo::pop_front() {
+  if (++head_ == items_.size()) {
+    items_.clear();
+    head_ = 0;
+  } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
+    // Compact once the consumed prefix dominates, so a channel that is
+    // never fully drained still holds O(outstanding) storage.
+    items_.erase(items_.begin(),
+                 items_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
 void DefaultInvariantChecker::ensure_sized(const Network& net) {
   if (sized_) return;
   sized_ = true;
@@ -25,6 +38,7 @@ void DefaultInvariantChecker::ensure_sized(const Network& net) {
   arq_expected_.assign(2 * m, 0);
   arq_buffered_.resize(2 * m);
   garbled_sent_.assign(2 * m, 0);
+  equivocated_.assign(2 * m, 0);
   arq_invalid_.assign(2 * m, 0);
   sent_algorithm_.assign(m, 0);
   sent_control_.assign(m, 0);
@@ -53,6 +67,7 @@ void DefaultInvariantChecker::on_send(const Network& net, NodeId from,
                                       EdgeId e, MsgClass cls,
                                       double delay, double arrival) {
   ensure_sized(net);
+  equivocating_channel_ = kNoChannel;
   const Graph& g = net.graph();
   if (e < 0 || e >= g.edge_count()) {
     std::ostringstream os;
@@ -242,7 +257,12 @@ void DefaultInvariantChecker::on_duplicate(const Network& net,
        << arrival << ")" << at_time(net.now());
     report(os.str());
   }
-  dup_arrivals_[channel_of(net, from, e)].insert(arrival);
+  const std::size_t ch = channel_of(net, from, e);
+  dup_arrivals_[ch].insert(arrival);
+  if (ch == equivocating_channel_) {
+    ++equivocated_[ch];
+    ++equivocations_seen_;
+  }
 }
 
 void DefaultInvariantChecker::on_garble(const Network& net, NodeId from,
@@ -256,6 +276,20 @@ void DefaultInvariantChecker::on_garble(const Network& net, NodeId from,
     report(os.str());
   }
   ++garbled_sent_[channel_of(net, from, e)];
+}
+
+void DefaultInvariantChecker::on_byzantine(const Network& net,
+                                           NodeId from, EdgeId e,
+                                           bool forged,
+                                           double /*arrival*/) {
+  ensure_sized(net);
+  // A forgery re-patches the ARQ checksum, so it never shows up as an
+  // invalid frame; an equivocation leaves the checksum broken.
+  if (forged) return;
+  const std::size_t ch = channel_of(net, from, e);
+  ++equivocated_[ch];
+  ++equivocations_seen_;
+  equivocating_channel_ = ch;
 }
 
 void DefaultInvariantChecker::on_finish(const Network& net, NodeId v,
@@ -350,16 +384,19 @@ void DefaultInvariantChecker::check_final(const Network& net) {
             "network";
       report(os.str());
     }
-    // The garble masking rule: invalid ARQ frames can only come from
-    // recorded garbles on the same directed channel (a duplicate of a
-    // garbled frame repeats the corruption, but the fate bands are
-    // disjoint, so a garbled send is never also duplicated).
+    // The masking rule: invalid ARQ frames can only come from
+    // recorded garbles or equivocations on the same directed channel.
+    // A duplicate of a corrupted frame repeats the corruption: the
+    // fate bands are disjoint, so a garbled send is never also
+    // duplicated, while a duplicated equivocation counts both copies
+    // (on_duplicate).
     for (std::size_t ch = 0; ch < arq_invalid_.size(); ++ch) {
-      if (arq_invalid_[ch] > garbled_sent_[ch]) {
+      if (arq_invalid_[ch] > garbled_sent_[ch] + equivocated_[ch]) {
         std::ostringstream os;
         os << "channel " << ch << " delivered " << arq_invalid_[ch]
            << " invalid ARQ frame(s) but only " << garbled_sent_[ch]
-           << " garble(s) were recorded on it";
+           << " garble(s) and " << equivocated_[ch]
+           << " equivocation(s) were recorded on it";
         report(os.str());
       }
     }

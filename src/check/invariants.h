@@ -25,7 +25,9 @@
 // Under fault injection (Network::set_faults) the checker adapts: drop
 // notifications join the send tally (attempts are charged), duplicate
 // deliveries match against recorded phantom arrivals, and event
-// conservation accounts for both. Give the checker the same injector
+// conservation accounts for both. Garbled and equivocated sends are
+// tallied per directed channel: they are the only legal sources of
+// checksum-invalid ARQ frames. Give the checker the same injector
 // via set_faults and it additionally verifies that no send leaves a
 // crashed node, nothing is delivered over a link that is down, and
 // nothing reaches a crashed node. check_arq verifies exactly-once FIFO
@@ -39,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <set>
 #include <string>
 #include <vector>
@@ -74,6 +75,8 @@ class DefaultInvariantChecker final : public InvariantObserver {
                     double arrival) override;
   void on_garble(const Network& net, NodeId from, EdgeId e,
                  double arrival) override;
+  void on_byzantine(const Network& net, NodeId from, EdgeId e,
+                    bool forged, double arrival) override;
 
   /// Gives the checker the injector attached to the network so it can
   /// independently verify the crash / outage rules (no sends from a
@@ -102,14 +105,35 @@ class DefaultInvariantChecker final : public InvariantObserver {
 
   /// Garbled sends recorded via on_garble.
   std::int64_t garbles_seen() const { return garbles_seen_; }
+  /// Equivocated frames queued (on_byzantine with forged == false,
+  /// plus the duplicate copies of an equivocated send).
+  std::int64_t equivocations_seen() const { return equivocations_seen_; }
   /// Checksum-invalid ARQ frames observed at delivery. The masking rule
   /// (check_final) requires, per channel, invalid deliveries <=
-  /// recorded garbles: garbling is the only legal source of invalid
-  /// frames, and everything the garbler touched that ARQ *can* mask is
-  /// exactly what its checksums catch.
+  /// recorded garbles + equivocated frames: those are the only legal
+  /// sources of invalid frames (a forgery re-patches the checksum), and
+  /// everything they touched that ARQ *can* mask is exactly what its
+  /// checksums catch.
   std::int64_t invalid_arq_frames_seen() const { return invalid_seen_; }
 
  private:
+  // FIFO of outstanding arrival times on one directed channel. An idle
+  // channel holds an empty vector, which owns no heap block; the head
+  // index makes pop_front O(1) and the storage is reused once drained.
+  class ArrivalFifo {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    std::size_t size() const { return items_.size() - head_; }
+    double front() const { return items_[head_]; }
+    double back() const { return items_.back(); }
+    void push_back(double t) { items_.push_back(t); }
+    void pop_front();
+
+   private:
+    std::vector<double> items_;
+    std::size_t head_ = 0;
+  };
+
   void ensure_sized(const Network& net);
   void report(std::string what);
   // Directed channel id for a message from `from` over edge e.
@@ -120,7 +144,7 @@ class DefaultInvariantChecker final : public InvariantObserver {
   std::size_t suppressed_ = 0;
 
   // Outstanding arrival times per directed channel, in send order.
-  std::vector<std::deque<double>> channels_;
+  std::vector<ArrivalFifo> channels_;
   // Phantom (duplicate) arrivals per directed channel, unordered: a
   // duplicate is clamped behind the original but later traffic can
   // still be delivered around it.
@@ -131,10 +155,17 @@ class DefaultInvariantChecker final : public InvariantObserver {
   // model.
   std::vector<std::int64_t> arq_expected_;
   std::vector<std::set<std::int64_t>> arq_buffered_;
-  // Garbled sends and invalid-ARQ-frame deliveries per directed
-  // channel (the masking rule compares them in check_final).
+  // Garbled sends, equivocated frames and invalid-ARQ-frame deliveries
+  // per directed channel (the masking rule compares them in
+  // check_final).
   std::vector<std::int64_t> garbled_sent_;
+  std::vector<std::int64_t> equivocated_;
   std::vector<std::int64_t> arq_invalid_;
+  // Channel of the send whose hooks are firing, when that send was
+  // equivocated: a duplicate split off it (on_duplicate follows
+  // on_byzantine for the same send) is an equivocated frame too.
+  static constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
+  std::size_t equivocating_channel_ = kNoChannel;
   // Independent per-edge tallies, indexed [class][edge].
   std::vector<std::int64_t> sent_algorithm_;
   std::vector<std::int64_t> sent_control_;
@@ -144,6 +175,7 @@ class DefaultInvariantChecker final : public InvariantObserver {
   std::int64_t drops_seen_ = 0;
   std::int64_t dups_seen_ = 0;
   std::int64_t garbles_seen_ = 0;
+  std::int64_t equivocations_seen_ = 0;
   std::int64_t invalid_seen_ = 0;
   const FaultInjector* faults_ = nullptr;
   double last_now_ = 0.0;

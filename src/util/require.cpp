@@ -1,9 +1,11 @@
 #include "util/require.h"
 
+#include <string>
+
 namespace csca::detail {
 
 namespace {
-std::string format(const char* kind, const std::string& message,
+std::string format(const char* kind, std::string_view message,
                    const std::source_location& where) {
   std::string out{kind};
   out += ": ";
@@ -17,12 +19,12 @@ std::string format(const char* kind, const std::string& message,
 }
 }  // namespace
 
-void throw_precondition(const std::string& message,
+void throw_precondition(std::string_view message,
                         std::source_location where) {
   throw PreconditionError(format("precondition violated", message, where));
 }
 
-void throw_invariant(const std::string& message, std::source_location where) {
+void throw_invariant(std::string_view message, std::source_location where) {
   throw InvariantError(format("invariant violated", message, where));
 }
 

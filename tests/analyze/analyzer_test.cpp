@@ -166,6 +166,20 @@ TEST(AnalyzeRules, Scale1NegativeHoistedAllocationIsClean) {
   EXPECT_TRUE(scan("scale1_neg.cpp", sim_scope()).findings.empty());
 }
 
+// ------------------------------------------------------------- PERF-1
+
+TEST(AnalyzeRules, Perf1PositiveFiresOnEachBuiltMessage) {
+  EXPECT_EQ(rule_lines(scan("perf1_pos.cpp")),
+            (RuleLines{{"PERF-1", 9},
+                       {"PERF-1", 10},
+                       {"PERF-1", 11},
+                       {"PERF-1", 12}}));
+}
+
+TEST(AnalyzeRules, Perf1NegativeLiteralsAndFalseConditionsAreClean) {
+  EXPECT_TRUE(scan("perf1_neg.cpp").findings.empty());
+}
+
 // The rules read code tokens only: entropy names inside comments,
 // string literals, and raw strings are not findings.
 TEST(AnalyzeRules, CommentsAndStringsAreNotCode) {

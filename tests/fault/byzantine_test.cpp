@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "check/byzantine_check.h"
+#include "check/invariants.h"
+#include "conn/flood.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "fault/reliable_link.h"
@@ -282,6 +284,122 @@ TEST(ByzantineContainment, InactiveConfigurationsAreNoOps) {
           << "node " << v;
     }
   }
+}
+
+// Equivocation behind ARQ: an equivocated frame fails its checksum and
+// the receiver discards it, exactly like a garbled one. The invariant
+// checker's masking rule counts equivocations as a legal source of
+// invalid frames, so a correct equivocating run on the keyed Network
+// (with drops, duplicates and garbles mixed in) is clean.
+TEST(ByzantineArq, EquivocationBehindArqPassesTheMaskingRule) {
+  Rng rng(17);
+  const Graph g = connected_gnp(14, 0.3, WeightSpec::uniform(1, 9), rng);
+  FaultPlan plan;
+  plan.byzantine = {3, 9};
+  plan.equivocate_rate = 0.3;
+  plan.drop_rate = 0.05;
+  plan.dup_rate = 0.1;
+  plan.garble_rate = 0.05;
+  plan.salt = 0xE0;
+  const FaultInjector inj(plan, g, 8);
+  const auto factory = arq_factory(
+      [](NodeId v) { return std::make_unique<FloodProcess>(v, 0); });
+  Network net(g, factory, make_uniform_delay(0, 1), 8);
+  net.set_keyed_delays(true);
+  net.set_faults(&inj);
+  DefaultInvariantChecker checker;
+  checker.set_faults(&inj);
+  net.set_observer(&checker);
+  net.run();
+  checker.check_final(net);
+  checker.check_arq(net);
+  net.set_observer(nullptr);
+
+  EXPECT_TRUE(checker.ok()) << (checker.violations().empty()
+                                    ? "suppressed"
+                                    : checker.violations().front());
+  EXPECT_GT(checker.equivocations_seen(), 0);
+  EXPECT_GT(checker.invalid_arq_frames_seen(), 0);
+  EXPECT_LE(checker.invalid_arq_frames_seen(),
+            checker.garbles_seen() + checker.equivocations_seen());
+  std::int64_t corrupt = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    for (EdgeId e : g.incident(v)) {
+      corrupt += arq_host(net, v).corrupt_frames(e);
+    }
+    EXPECT_TRUE(dynamic_cast<FloodProcess&>(arq_inner(net, v)).reached())
+        << "node " << v;
+  }
+  EXPECT_EQ(corrupt, checker.invalid_arq_frames_seen());
+}
+
+// A duplicated equivocation delivers two identically corrupted copies;
+// with every send duplicated, each equivocated frame arrives invalid
+// twice and both copies count against the channel's equivocations.
+TEST(ByzantineArq, DuplicatedEquivocationsCountBothCopies) {
+  const Graph g = star(6);
+  FaultPlan plan;
+  plan.byzantine.push_back(0);
+  plan.equivocate_rate = 0.5;
+  plan.dup_rate = 1.0;
+  const FaultInjector inj(plan, g, 42);
+  const auto factory =
+      arq_factory([](NodeId) { return std::make_unique<Broadcast>(); });
+  Network net(g, factory, make_exact_delay(), 42);
+  net.set_keyed_delays(true);
+  net.set_faults(&inj);
+  DefaultInvariantChecker checker;
+  checker.set_faults(&inj);
+  net.set_observer(&checker);
+  net.run();
+  checker.check_final(net);
+  checker.check_arq(net);
+  net.set_observer(nullptr);
+
+  EXPECT_TRUE(checker.ok()) << (checker.violations().empty()
+                                    ? "suppressed"
+                                    : checker.violations().front());
+  EXPECT_GT(checker.invalid_arq_frames_seen(), 0);
+  EXPECT_EQ(checker.invalid_arq_frames_seen() % 2, 0);
+  EXPECT_EQ(checker.invalid_arq_frames_seen(), checker.equivocations_seen());
+}
+
+// The masking rule still has teeth per channel: while the byzantine
+// node 0 equivocates toward node 1, an honest node 1 sending a broken
+// frame back has no garble or equivocation behind it on *its* channel,
+// and the checker reports exactly that channel.
+TEST(ByzantineArq, InvalidFrameWithoutGarbleOrEquivocationIsReported) {
+  class Sender final : public Process {
+   public:
+    void on_start(Context& ctx) override {
+      Message frame = arq_make_data(0, Message{kPayload, {1}});
+      // Node 1 breaks the checksum itself; node 0's frame is honest
+      // until the injector equivocates it.
+      if (ctx.self() == 1) frame.data[frame.data.size() - 1] ^= 1;
+      ctx.send(0, std::move(frame), MsgClass::kAlgorithm);
+    }
+    void on_message(Context&, const Message&) override {}
+  };
+  const Graph g = star(2);
+  const FaultInjector inj(equiv_plan(), g, 42);
+  Network net(g, [](NodeId) { return std::make_unique<Sender>(); },
+              make_exact_delay(), 42);
+  net.set_keyed_delays(true);
+  net.set_faults(&inj);
+  DefaultInvariantChecker checker;
+  checker.set_faults(&inj);
+  net.set_observer(&checker);
+  net.run();
+  checker.check_final(net);
+  net.set_observer(nullptr);
+
+  EXPECT_EQ(checker.equivocations_seen(), 1);
+  EXPECT_EQ(checker.invalid_arq_frames_seen(), 2);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  const std::string& v = checker.violations().front();
+  EXPECT_NE(v.find("channel 1 delivered 1 invalid ARQ frame(s)"),
+            std::string::npos)
+      << v;
 }
 
 }  // namespace

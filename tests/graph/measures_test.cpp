@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "graph/families.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "graph/mst.h"
@@ -110,6 +116,41 @@ TEST(Measures, LowerBoundFamilyMeasures) {
   EXPECT_GT(m.comm_E, m.comm_V * 100);
   // Diameter is along the path: (n-1) * X.
   EXPECT_EQ(m.comm_D, static_cast<Weight>(n - 1) * x);
+}
+
+// measure() runs its n single-source passes over one reused scratch;
+// comm_D and d must equal what per-source dijkstra() gives, on every
+// sweep graph and on every family at a larger size.
+Weight reference_diameter(const Graph& g, Weight* d) {
+  Weight diam = 0;
+  *d = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto sp = dijkstra(g, v);
+    for (const Weight du : sp.dist) diam = std::max(diam, du);
+    for (const Arc a : g.neighbors(v)) {
+      *d = std::max(*d, sp.dist[static_cast<std::size_t>(a.node)]);
+    }
+  }
+  return diam;
+}
+
+TEST(Measures, SweepMatchesPerSourceDijkstraOnEveryFamily) {
+  std::vector<GraphFamily> graphs = builtin_families(/*smoke=*/true);
+  for (GraphFamily& f : builtin_families(/*smoke=*/false)) {
+    graphs.push_back(std::move(f));
+  }
+  for (const std::string& name : family_names()) {
+    graphs.push_back({name + "@33", make_family(name, 33, 7)});
+  }
+  for (const GraphFamily& f : graphs) {
+    Weight d = 0;
+    const Weight diam = reference_diameter(f.graph, &d);
+    const auto m = measure(f.graph);
+    EXPECT_EQ(m.comm_D, diam) << f.name;
+    EXPECT_EQ(m.d, d) << f.name;
+    EXPECT_EQ(weighted_diameter(f.graph), diam) << f.name;
+    EXPECT_EQ(max_neighbor_distance(f.graph), d) << f.name;
+  }
 }
 
 }  // namespace

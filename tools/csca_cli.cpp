@@ -42,7 +42,7 @@ int usage() {
 Graph load(const std::string& path) {
   if (path == "-") return read_edge_list(std::cin);
   std::ifstream in(path);
-  require(static_cast<bool>(in), "cannot open graph file: " + path);
+  if (!in) require(false, "cannot open graph file: " + path);
   return read_edge_list(in);
 }
 
