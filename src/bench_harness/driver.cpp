@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "bench_harness/json.h"
 #include "bench_harness/tables.h"
@@ -63,8 +65,7 @@ void print_list(const std::vector<SweepSpec>& tables) {
 
 }  // namespace
 
-int sweep_main(const std::vector<std::string>& default_tables, int argc,
-               char** argv) {
+int sweep_main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   if (!args.ok) return 2;
 
@@ -74,13 +75,11 @@ int sweep_main(const std::vector<std::string>& default_tables, int argc,
     return 0;
   }
 
-  const std::vector<std::string>& wanted =
-      args.tables.empty() ? default_tables : args.tables;
   std::vector<SweepSpec> selected;
-  if (wanted.empty()) {
+  if (args.tables.empty()) {
     selected = registry;
   } else {
-    for (const std::string& id : wanted) {
+    for (const std::string& id : args.tables) {
       const SweepSpec* spec = find_table(registry, id);
       if (spec == nullptr) {
         std::fprintf(stderr, "csca_sweep: unknown table id %s (see --list)\n",

@@ -1,8 +1,7 @@
-// The shared command-line front end for table sweeps. tools/csca_sweep
-// drives every table; each bench/bench_*.cpp is a thin main that passes
-// its own default table subset. Flags:
+// The command-line front end for table sweeps behind tools/csca_sweep,
+// which drives every table (or those named by --table). Flags:
 //
-//   --table=ID    sweep only this table (repeatable; overrides defaults)
+//   --table=ID    sweep only this table (repeatable; default: all)
 //   --smoke       the small-n conformance grids instead of the full ones
 //   --jobs=N      worker threads (output is byte-identical for every N)
 //   --out-dir=P   where BENCH_<id>.json files land (default bench_out)
@@ -12,12 +11,8 @@
 // errors, 2 on bad usage.
 #pragma once
 
-#include <string>
-#include <vector>
-
 namespace csca::bench {
 
-int sweep_main(const std::vector<std::string>& default_tables, int argc,
-               char** argv);
+int sweep_main(int argc, char** argv);
 
 }  // namespace csca::bench

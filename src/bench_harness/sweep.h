@@ -11,8 +11,8 @@
 // run output (including the rendered JSON, see json.h) is byte-identical
 // at any --jobs value.
 //
-// The bench binaries (bench/bench_*.cpp), the tools/csca_sweep front
-// end, and the ctest `conformance` tier all drive the same SweepSpecs
+// The tools/csca_sweep front end, the bench binaries and the ctest
+// `conformance` tier all drive the same SweepSpecs
 // (tables.h), so "measured stays inside the claimed bound" is a
 // machine-checked regression assertion, not prose.
 #pragma once

@@ -19,7 +19,7 @@
 //   churn  docs/faults.md  recovery cost vs churn rate (restabilization)
 //
 // Each table's rows, bound formulas and tolerances live in
-// tables/<id>_*.cpp; bench/bench_*.cpp, tools/csca_sweep and the ctest
+// tables/<id>_*.cpp; tools/csca_sweep, bench/bench_scale and the ctest
 // conformance tier all consume this registry.
 #pragma once
 

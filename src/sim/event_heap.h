@@ -10,10 +10,14 @@
 //   * run tier — entries below the current time horizon, sorted
 //     descending once per sweep; pop is a compare plus pop_back, no
 //     per-pop sifting, and consecutive pops walk the same cache lines.
-//   * young tier — a small 4-ary indexed min-heap catching events
-//     pushed *after* the sweep but scheduled before the horizon (e.g.
-//     zero-delay self-deliveries). It stays tiny — a few thousand
-//     entries — so its sifts run in L1/L2.
+//     Pops prefetch the arena slot kPrefetchAhead entries down the run.
+//   * young tier — a 4-ary indexed min-heap catching events pushed
+//     *after* the sweep but scheduled before the horizon (e.g.
+//     zero-delay self-deliveries, or pulse+1 sends in the synchronous
+//     engine). Its size is bounded: once it outgrows both kYoungFloor
+//     and the remaining run slice, it merges into the run and the
+//     horizon narrows, sending what lies past it back to the far tier
+//     (a *rehorizon*), so its sifts stay in L1/L2.
 //   * far tier — an unsorted staging vector for events at or beyond
 //     the horizon; pushing there is a plain append. When run and young
 //     drain, one sweep partitions the staging vector against a new
@@ -24,8 +28,11 @@
 // slice inside the horizon (one streaming sort per sweep) instead of on
 // a multi-MB heap with a dependent cache-miss chain per pop. The
 // horizon width self-tunes (doubling/halving against a target slice
-// size), which affects only *when* entries migrate between tiers —
-// never the order they leave in.
+// size, halving again on a rehorizon), which affects only *when*
+// entries migrate between tiers — never the order they leave in. The
+// horizon never collapses onto the earliest staged time: a sweep always
+// moves at least the entries at that time, and a slice whose entries
+// all share one time (which no width can split) never halves it.
 //
 // Ordering: entries leave in ascending (t, aux) order. t is the
 // scheduled time; aux is a 32-bit tie-break the engines derive from a
@@ -41,6 +48,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -65,6 +73,17 @@ struct HeapKey {
   }
 };
 
+/// Deterministic work counters of one EventHeap. They depend only on
+/// the sequence of pushes and pops, never on timing, so tests can pin
+/// bounds on them (see docs/model.md, "Engine internals").
+struct QueueCounters {
+  std::uint64_t sweeps = 0;        // refills of the run from the far tier
+  std::uint64_t scanned = 0;       // entries sweeps + rehorizons partitioned
+  std::uint64_t young_pushes = 0;  // pushes that landed in the young heap
+  std::uint64_t rehorizons = 0;    // young-heap overflows (see rehorizon())
+  std::size_t peak_young = 0;      // largest young heap seen
+};
+
 template <typename Event>
 class EventHeap {
  public:
@@ -83,6 +102,8 @@ class EventHeap {
   /// since popped slots are recycled.
   std::size_t arena_slots() const { return arena_.size(); }
 
+  const QueueCounters& counters() const { return counters_; }
+
   void reserve(std::size_t n) {
     arena_.reserve(n);
     far_.reserve(n);
@@ -99,6 +120,8 @@ class EventHeap {
   const Event& top() { return arena_[top_entry().slot]; }
 
   void push(HeapKey key, Event&& ev) {
+    // A +inf (or NaN) time could never fall below any horizon.
+    require(key.t < kInf, "EventHeap key time must be below +infinity");
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -112,6 +135,9 @@ class EventHeap {
     if (key.t < horizon_) {
       young_.push_back(Entry{key.t, key.aux, slot});
       sift_up(young_.size() - 1);
+      ++counters_.young_pushes;
+      counters_.peak_young = std::max(counters_.peak_young, young_.size());
+      if (young_.size() > std::max(kYoungFloor, run_.size())) rehorizon();
     } else {
       far_min_ = std::min(far_min_, key.t);
       far_.push_back(Entry{key.t, key.aux, slot});
@@ -137,9 +163,12 @@ class EventHeap {
     } else {
       run_.pop_back();
     }
-    // The next pop's arena slot is already known; start pulling it into
-    // cache while the caller processes the current event.
-    if (!run_.empty()) prefetch_slot(run_.back().slot);
+    // Upcoming pops' arena slots are already known; start pulling them
+    // into cache while the caller processes the current event: run
+    // entries kPrefetchAhead pops early, the young top one pop early.
+    if (run_.size() > kPrefetchAhead) {
+      prefetch_slot(run_[run_.size() - 1 - kPrefetchAhead].slot);
+    }
     if (!young_.empty()) prefetch_slot(young_.front().slot);
     return out;
   }
@@ -151,6 +180,13 @@ class EventHeap {
     std::uint32_t slot;
   };
   static_assert(sizeof(Entry) == 16, "heap entries should stay compact");
+
+  // The young heap may always grow to kYoungFloor entries (or to the
+  // size of the remaining run slice, whichever is larger) before it
+  // triggers a rehorizon.
+  static constexpr std::size_t kYoungFloor = 4096;
+  static constexpr std::size_t kPrefetchAhead = 8;
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
 
   static bool less(const Entry& a, const Entry& b) {
     return a.t < b.t || (a.t == b.t && a.aux < b.aux);
@@ -184,14 +220,15 @@ class EventHeap {
   /// back in key order). The horizon width adapts toward a slice of
   /// ~1/8 of the pending entries, capped so the slice stays a few
   /// hundred KB — small enough to sort in cache, large enough to
-  /// amortize the O(far) partition scan.
+  /// amortize the O(far) partition scan. A slice at a single time is as
+  /// narrow as a slice gets, so it never halves the width.
   void sweep() {
     // far_min_ is maintained incrementally by push(), so one partition
     // pass suffices; it recomputes the min of what it keeps (and the
     // min of what it moves, which seeds the bucket sort).
-    horizon_ = far_min_ + width_;
-    far_min_ = std::numeric_limits<double>::infinity();
-    double run_min = std::numeric_limits<double>::infinity();
+    horizon_ = horizon_after(far_min_);
+    far_min_ = kInf;
+    double run_min = kInf;
     std::size_t kept = 0;
     for (std::size_t i = 0; i < far_.size(); ++i) {
       const Entry e = far_[i];
@@ -204,15 +241,61 @@ class EventHeap {
         ++kept;
       }
     }
+    ++counters_.sweeps;
+    counters_.scanned += far_.size();
     far_.resize(kept);
     sort_run_descending(run_min);
     const std::size_t target = std::clamp<std::size_t>(
         (run_.size() + far_.size()) / 8, 1024, 32768);
     if (run_.size() > 2 * target) {
-      width_ *= 0.5;
+      if (run_.front().t != run_.back().t) width_ *= 0.5;
     } else if (run_.size() < target / 2) {
       width_ *= 2.0;
     }
+  }
+
+  /// Answers a young-heap overflow: merges the young heap into the run,
+  /// halves the width, lowers the horizon to match and re-sorts the run
+  /// below it. Entries at or past the new horizon go back to the far
+  /// tier, which needs no rescan: everything there already lies past the
+  /// old horizon. The young heap restarts empty, and pushes beyond the
+  /// narrower horizon become plain appends again. Pushes at the earliest
+  /// pending time (a zero-delay burst) fit under any horizon, so a young
+  /// heap that mostly holds those only merges and keeps the width.
+  void rehorizon() {
+    ++counters_.rehorizons;
+    const double lo = run_.empty()
+                          ? young_.front().t
+                          : std::min(run_.back().t, young_.front().t);
+    std::size_t at_lo = 0;
+    for (const Entry& e : young_) {
+      at_lo += e.t == lo ? 1 : 0;
+      run_.push_back(e);
+    }
+    if (2 * at_lo < young_.size()) width_ *= 0.5;
+    young_.clear();
+    horizon_ = std::min(horizon_, horizon_after(lo));
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < run_.size(); ++i) {
+      const Entry e = run_[i];
+      if (e.t < horizon_) {
+        run_[kept] = e;
+        ++kept;
+      } else {
+        far_min_ = std::min(far_min_, e.t);
+        far_.push_back(e);
+      }
+    }
+    counters_.scanned += run_.size();
+    run_.resize(kept);
+    sort_run_descending(lo);
+  }
+
+  /// The horizon for a slice starting at time lo: one width past it, but
+  /// never less than the next representable time, so the entries at lo
+  /// always fall below it however small the width has become.
+  double horizon_after(double lo) const {
+    return std::max(lo + width_, std::nextafter(lo, kInf));
   }
 
   /// Sorts the freshly refilled run slice descending. Large slices are
@@ -223,17 +306,15 @@ class EventHeap {
   /// bucketing merely replaces most of its compares with two linear
   /// passes.
   void sort_run_descending(double run_min) {
-    const auto desc = [](const Entry& a, const Entry& b) {
-      return less(b, a);
-    };
     const std::size_t n = run_.size();
-    const double span = horizon_ - run_min;
-    if (n < 4096 || !(span > 0)) {
-      std::sort(run_.begin(), run_.end(), desc);
+    const std::size_t buckets = std::min<std::size_t>(n / 8, 1u << 16);
+    const double scale =
+        static_cast<double>(buckets) / (horizon_ - run_min);
+    // A subnormal span (a slice at one time near 0) overflows the scale.
+    if (n < 4096 || !(scale > 0 && scale < kInf)) {
+      sort_descending(run_.begin(), run_.end());
       return;
     }
-    const std::size_t buckets = std::min<std::size_t>(n / 8, 1u << 16);
-    const double scale = static_cast<double>(buckets) / span;
     // Bucket 0 holds the latest times so the slice comes out
     // back-to-front ready (pops come off the back).
     const auto bucket_of = [&](double t) {
@@ -255,10 +336,24 @@ class EventHeap {
     for (std::size_t b = 0; b < buckets; ++b) {
       const std::size_t end = counts_[b];
       if (end - begin > 1) {
-        std::sort(run_.begin() + static_cast<std::ptrdiff_t>(begin),
-                  run_.begin() + static_cast<std::ptrdiff_t>(end), desc);
+        sort_descending(run_.begin() + static_cast<std::ptrdiff_t>(begin),
+                        run_.begin() + static_cast<std::ptrdiff_t>(end));
       }
       begin = end;
+    }
+  }
+
+  /// Sorts [first, last) descending. A range that is already ascending
+  /// is only reversed: the partition keeps staged entries in push order,
+  /// so a slice at one time (a pulse of the synchronous engine, unless
+  /// it holds wakeups) arrives ascending in its sequence tie-break.
+  static void sort_descending(typename std::vector<Entry>::iterator first,
+                              typename std::vector<Entry>::iterator last) {
+    if (std::is_sorted(first, last, less)) {
+      std::reverse(first, last);
+    } else {
+      std::sort(first, last,
+                [](const Entry& a, const Entry& b) { return less(b, a); });
     }
   }
 
@@ -299,13 +394,14 @@ class EventHeap {
   std::vector<Entry> far_;           // at/beyond horizon, unsorted
   // Events with time < horizon_ go to run/young; the rest are staged.
   // Starts at -inf so the first sweep sets it from real data.
-  double horizon_ = -std::numeric_limits<double>::infinity();
-  // Min time in far_, maintained by push() and sweep().
-  double far_min_ = std::numeric_limits<double>::infinity();
+  double horizon_ = -kInf;
+  // Min time in far_, maintained by push(), sweep() and rehorizon().
+  double far_min_ = kInf;
   double width_ = 1.0;  // adaptive horizon advance per sweep
   std::vector<Entry> scratch_;        // bucket-sort scatter buffer
   std::vector<std::size_t> counts_;   // bucket-sort offsets
   std::size_t peak_ = 0;
+  QueueCounters counters_;
 };
 
 }  // namespace csca

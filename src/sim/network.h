@@ -104,6 +104,11 @@ class InvariantObserver {
 };
 
 /// Simulation host: graph + processes + event queue + cost ledger.
+///
+/// One Network schedules at most 2^32 - 1 events over its lifetime
+/// (sends, fault duplicates and self-schedules together; the queue's
+/// tie-break is a 32-bit sequence). The next one throws
+/// PreconditionError("event sequence space exhausted").
 class Network : public ProcessHost, private EngineBackend {
  public:
   using ProcessFactory = csca::ProcessFactory;
@@ -162,6 +167,11 @@ class Network : public ProcessHost, private EngineBackend {
 
   /// Peak number of simultaneously pending deliveries so far.
   std::size_t peak_queue_depth() const { return queue_.peak_size(); }
+
+  /// Deterministic work counters of the event queue (sweeps, entries
+  /// partitioned, young-tier pushes, rehorizons, peak young size); see
+  /// docs/model.md, "Engine internals".
+  const QueueCounters& queue_counters() const { return queue_.counters(); }
 
   std::int64_t edge_message_count(EdgeId e) const override {
     require(e >= 0 && e < graph_->edge_count(), "edge id out of range");

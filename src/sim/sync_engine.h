@@ -28,6 +28,10 @@ namespace csca {
 
 class FaultInjector;
 
+/// One SyncEngine queues at most 2^31 - 1 events (sends and wakeups)
+/// over its lifetime: the queue's 32-bit tie-break spends its top bit
+/// on the event kind. The next one throws
+/// PreconditionError("event sequence space exhausted").
 class SyncEngine {
  public:
   using ProcessFactory = std::function<std::unique_ptr<SyncProcess>(NodeId)>;
@@ -62,6 +66,11 @@ class SyncEngine {
 
   /// Peak number of simultaneously pending events so far.
   std::size_t peak_queue_depth() const { return queue_.peak_size(); }
+
+  /// Deterministic work counters of the event queue (sweeps, entries
+  /// partitioned, young-tier pushes, rehorizons, peak young size); see
+  /// docs/model.md, "Engine internals".
+  const QueueCounters& queue_counters() const { return queue_.counters(); }
 
   SyncProcess& process(NodeId v) {
     graph_->check_node(v);

@@ -16,5 +16,5 @@
 #include "bench_harness/driver.h"
 
 int main(int argc, char** argv) {
-  return csca::bench::sweep_main({}, argc, argv);
+  return csca::bench::sweep_main(argc, argv);
 }
