@@ -88,21 +88,10 @@ class ProbeProcess final : public Process {
   bool done_ = false;
 };
 
-// The report's cumulative RunStats is a carrier summing the finished
-// slices' already-charged ledgers, not a live ledger.
+// The report's cumulative RunStats sums the finished slices' ledgers.
+// Slices run back to back, so their completion times add up too.
 void merge_stats(RunStats& into, const RunStats& slice) {
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.algorithm_messages += slice.algorithm_messages;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.control_messages += slice.control_messages;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.recovery_messages += slice.recovery_messages;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.algorithm_cost += slice.algorithm_cost;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.control_cost += slice.control_cost;
-  // csca-analyze: allow(COST-2): report carrier summing finished slice ledgers
-  into.recovery_cost += slice.recovery_cost;
+  into.add_charges(slice);
   into.events += slice.events;
   into.completion_time += slice.completion_time;
 }

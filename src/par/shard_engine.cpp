@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <deque>
 
-#include "fault/fault_injector.h"
+#include "sim/send_pipeline.h"
 
 namespace csca {
 
@@ -116,147 +116,47 @@ struct ShardEngine::Shard final : public EngineBackend {
   const Graph& engine_graph() const override { return *eng->graph_; }
 
   void engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) override {
-    const Graph& g = *eng->graph_;
-    const Edge& edge = g.edge(e);
-    require(edge.u == from || edge.v == from,
-            "process may only send on its own incident edges");
-    // Same directed-channel FIFO clamp as the sequential engine. The
-    // channel's unique sender node lives in exactly this shard, so the
-    // per-channel counters are written race-free.
-    const std::size_t channel =
-        static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
-    if (eng->faults_ != nullptr) {
-      engine_send_faulty(from, e, edge, channel, std::move(m), cls);
-      return;
-    }
-    const double d = eng->delay_->delay_keyed(
-        e, edge.w,
-        channel_delay_key(eng->seed_, channel, eng->channel_sends_[channel]++));
-    require(d >= 0.0 && d <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    // The conservative windows are sound only if every actual draw
-    // respects the model's declared lookahead floor.
-    require(d >= eng->delay_->min_delay(e, edge.w),
-            "delay model drew below its declared min_delay");
-    const double arrival = std::max(now + d, eng->last_arrival_[channel]);
-    eng->last_arrival_[channel] = arrival;
-
+    // The channel's unique sender node lives in exactly this shard, so
+    // its clamp and ledger counts are written race-free.
+    const SendSite site = send_site(*eng->graph_, e, from);
+    const std::uint64_t count = eng->ledger_.sends(site.channel);
+    double& clamp = eng->last_arrival_[site.channel];
+    // The conservative windows are sound only if every draw respects
+    // the model's declared lookahead floor, hence check_floor.
+    const SendPlan plan =
+        plan_send(site, count, now, clamp, eng->faults_,
+                  DrawnArrival{eng->delay_.get(), nullptr, eng->seed_, true});
+    if (!plan.charged) return;
+    eng->ledger_.charge(site.channel, cls);
+    stats.charge(cls, site.w);
+    if (plan.lost) return;
+    if (plan.commit_clamp) clamp = plan.arrival;
     m.from = from;
     m.edge = e;
-    ++eng->channel_messages_[class_index(cls)][channel];
-    if (cls == MsgClass::kAlgorithm) {
-      ++stats.algorithm_messages;
-      stats.algorithm_cost += edge.w;
-    } else if (cls == MsgClass::kControl) {
-      ++stats.control_messages;
-      stats.control_cost += edge.w;
-    } else {
-      ++stats.recovery_messages;
-      stats.recovery_cost += edge.w;
-    }
-
+    corrupt(plan, eng->faults_, site, count, m);
+    Message dup;
+    if (plan.duplicate) dup = m;
+    // A lost send consumed no send index; a duplicate takes the next.
     const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
-    const NodeId to = g.other(e, from);
-    const int dest = eng->part_.shard(to);
-    if (dest == id) {
-      push_local(arrival, lin, idx, std::move(m));
-    } else {
-      outbox[static_cast<std::size_t>(dest)].push_back(
-          CrossMsg{arrival, lin, idx, std::move(m)});
+    const int dest = eng->part_.shard(site.to);
+    route(dest, plan.arrival, lin, next_send_index(), std::move(m));
+    if (plan.duplicate) {
+      route(dest, plan.dup_arrival, lin, next_send_index(), std::move(dup));
     }
   }
 
-  /// Mirror of Network::engine_send_faulty, drawing the identical keyed
-  /// fate for the identical logical send: the per-channel count is
-  /// consumed exactly when the sequential engine consumes it, dropped
-  /// sends consume no send index, and a surviving duplicate consumes
-  /// the next one — so delivery order stays bit-identical to the keyed
-  /// Network at every shard count.
-  void engine_send_faulty(NodeId from, EdgeId e, const Edge& edge,
-                          std::size_t channel, Message m, MsgClass cls) {
-    const FaultInjector& faults = *eng->faults_;
-    if (faults.crashed(from, now)) return;
-    const std::uint64_t count = eng->channel_sends_[channel]++;
-    const auto charge = [&] {
-      ++eng->channel_messages_[class_index(cls)][channel];
-      if (cls == MsgClass::kAlgorithm) {
-        ++stats.algorithm_messages;
-        stats.algorithm_cost += edge.w;
-      } else if (cls == MsgClass::kControl) {
-        ++stats.control_messages;
-        stats.control_cost += edge.w;
-      } else {
-        ++stats.recovery_messages;
-        stats.recovery_cost += edge.w;
-      }
-    };
-    const FaultInjector::SendFate fate = faults.send_fate(channel, count);
-    if (fate.drop || faults.link_down(e, now)) {
-      charge();
-      return;
-    }
-    const double d = eng->delay_->delay_keyed(
-        e, edge.w, channel_delay_key(eng->seed_, channel, count));
-    require(d >= 0.0 && d <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    require(d >= eng->delay_->min_delay(e, edge.w),
-            "delay model drew below its declared min_delay");
-    const double arrival = std::max(now + d, eng->last_arrival_[channel]);
-    const NodeId to = eng->graph_->other(e, from);
-    if (faults.link_down(e, arrival) || faults.crashed(to, arrival)) {
-      charge();
-      return;
-    }
-    eng->last_arrival_[channel] = arrival;
-    m.from = from;
-    m.edge = e;
-    // Keyed corruption, identical to the sequential engine's: a pure
-    // function of (seed, salt, channel, count), so the delivered bytes
-    // match at every shard count.
-    if (fate.garble) faults.garble(channel, count, m);
-    // Byzantine sender corruption, before the duplicate splits off —
-    // same order as Network::engine_send_faulty.
-    if (faults.byzantine(from)) {
-      const auto byz = faults.byzantine_fate(channel, count);
-      if (byz == FaultInjector::ByzantineFate::kEquivocate) {
-        faults.equivocate(channel, count, m);
-      } else if (byz == FaultInjector::ByzantineFate::kForge) {
-        faults.forge(channel, count, m);
-      }
-    }
-    Message dup;
-    if (fate.duplicate) dup = m;
-    charge();
-    const Lineage* lin = handler_lineage();
+  std::uint32_t next_send_index() {
     require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
-    const int dest = eng->part_.shard(to);
+    return sends_in_handler++;
+  }
+
+  void route(int dest, double t, const Lineage* lin, std::uint32_t idx,
+             Message&& m) {
     if (dest == id) {
-      push_local(arrival, lin, idx, std::move(m));
+      push_local(t, lin, idx, std::move(m));
     } else {
       outbox[static_cast<std::size_t>(dest)].push_back(
-          CrossMsg{arrival, lin, idx, std::move(m)});
-    }
-    if (fate.duplicate) {
-      const double d2 = eng->delay_->delay_keyed(
-          e, edge.w, faults.dup_delay_key(channel, count));
-      require(d2 >= 0.0 && d2 <= static_cast<double>(edge.w),
-              "delay model produced delay outside [0, w(e)]");
-      require(d2 >= eng->delay_->min_delay(e, edge.w),
-              "delay model drew below its declared min_delay");
-      const double arr2 = std::max(now + d2, eng->last_arrival_[channel]);
-      if (!faults.link_down(e, arr2) && !faults.crashed(to, arr2)) {
-        require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-        const std::uint32_t idx2 = sends_in_handler++;
-        if (dest == id) {
-          push_local(arr2, lin, idx2, std::move(dup));
-        } else {
-          outbox[static_cast<std::size_t>(dest)].push_back(
-              CrossMsg{arr2, lin, idx2, std::move(dup)});
-        }
-      }
+          CrossMsg{t, lin, idx, std::move(m)});
     }
   }
 
@@ -269,10 +169,8 @@ struct ShardEngine::Shard final : public EngineBackend {
     m.from = v;
     m.edge = kNoEdge;
     const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
     // v is the node currently executing here, so its shard is this one.
-    push_local(now + delay, lin, idx, std::move(m));
+    push_local(now + delay, lin, next_send_index(), std::move(m));
   }
 
   void engine_finish(NodeId v) override {
@@ -407,20 +305,13 @@ ShardEngine::ShardEngine(const Graph& g, const ProcessFactory& factory,
 ShardEngine::ShardEngine(const Graph& g, ProcessStore store,
                          std::unique_ptr<DelayModel> delay, std::uint64_t seed,
                          Options opt)
-    : graph_(&g),
+    : LedgerHost(g.edge_count()),
+      graph_(&g),
       processes_(std::move(store)),
       delay_(std::move(delay)),
       seed_(seed),
       part_(partition_shards(g, opt.shards, opt.partition)),
       last_arrival_(static_cast<std::size_t>(2 * g.edge_count()), 0.0),
-      channel_sends_(static_cast<std::size_t>(2 * g.edge_count()), 0),
-      channel_messages_{
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0)},
       finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
   require(delay_ != nullptr, "delay model must not be null");
   require(opt.threads >= 0, "thread count must be >= 0");
@@ -556,12 +447,7 @@ RunStats ShardEngine::run() {
 
   stats_ = RunStats{};
   for (const auto& sh : shards_) {
-    stats_.algorithm_messages += sh->stats.algorithm_messages;
-    stats_.control_messages += sh->stats.control_messages;
-    stats_.recovery_messages += sh->stats.recovery_messages;
-    stats_.algorithm_cost += sh->stats.algorithm_cost;
-    stats_.control_cost += sh->stats.control_cost;
-    stats_.recovery_cost += sh->stats.recovery_cost;
+    stats_.add_charges(sh->stats);
     stats_.completion_time =
         std::max(stats_.completion_time, sh->stats.completion_time);
     stats_.events += sh->stats.events;
@@ -577,35 +463,6 @@ bool ShardEngine::all_finished() const {
 double ShardEngine::last_finish_time() const {
   require(all_finished(), "not all nodes have finished");
   return *std::max_element(finish_time_.begin(), finish_time_.end());
-}
-
-std::int64_t ShardEngine::edge_message_count(EdgeId e) const {
-  const auto c = static_cast<std::size_t>(2 * e);
-  return channel_messages_[0][c] + channel_messages_[0][c + 1] +
-         channel_messages_[1][c] + channel_messages_[1][c + 1] +
-         channel_messages_[2][c] + channel_messages_[2][c + 1];
-}
-
-std::int64_t ShardEngine::edge_message_count(EdgeId e, MsgClass cls) const {
-  const auto c = static_cast<std::size_t>(2 * e);
-  const auto& counts = channel_messages_[class_index(cls)];
-  return counts[c] + counts[c + 1];
-}
-
-std::int64_t ShardEngine::max_edge_message_count() const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e));
-  }
-  return best;
-}
-
-std::int64_t ShardEngine::max_edge_message_count(MsgClass cls) const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e, cls));
-  }
-  return best;
 }
 
 }  // namespace csca

@@ -74,7 +74,6 @@
 // meaning): InvariantObserver hooks, step()/budget slicing.
 #pragma once
 
-#include <array>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -91,7 +90,7 @@ namespace csca {
 
 class FaultInjector;
 
-class ShardEngine final : public ProcessHost {
+class ShardEngine final : public LedgerHost {
  public:
   struct Options {
     int shards = 1;
@@ -151,11 +150,6 @@ class ShardEngine final : public ProcessHost {
   }
   bool all_finished() const override;
   double last_finish_time() const override;
-  std::int64_t edge_message_count(EdgeId e) const override;
-  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const override;
-  std::int64_t max_edge_message_count() const override;
-  std::int64_t max_edge_message_count(MsgClass cls) const override;
-
  private:
   friend struct ShardEngineTestPeer;
 
@@ -189,11 +183,6 @@ class ShardEngine final : public ProcessHost {
 
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  static std::size_t class_index(MsgClass cls) {
-    return cls == MsgClass::kAlgorithm ? 0
-           : cls == MsgClass::kControl ? 1
-                                       : 2;
-  }
   /// Forward channel: batches flowing from shard `from` to shard `to`
   /// (producer = from's worker, consumer = to's worker).
   SpscChannel<Batch>& channel(int from, int to) {
@@ -218,11 +207,10 @@ class ShardEngine final : public ProcessHost {
   ShardPartition part_;
 
   // Sender-owned per-directed-channel state (2 * edge + direction): the
-  // unique sender node of a channel lives in exactly one shard, so
-  // these vectors are written race-free without locks.
+  // unique sender node of a channel lives in exactly one shard, so the
+  // clamps here and the counts in ledger_ are written race-free
+  // without locks.
   std::vector<double> last_arrival_;
-  std::vector<std::uint64_t> channel_sends_;
-  std::array<std::vector<std::int64_t>, kMsgClassCount> channel_messages_;
 
   // Owner-shard-written per-node state.
   std::vector<double> finish_time_;

@@ -5,9 +5,9 @@
 #include <exception>
 #include <unordered_map>
 
-#include "fault/fault_injector.h"
 #include "par/calqueue.h"
 #include "par/state_save.h"
+#include "sim/send_pipeline.h"
 
 namespace csca {
 
@@ -106,14 +106,14 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   /// delays and fault fates.
   struct Undo {
     enum Kind : std::uint8_t {
-      kCount,    ///< a: channel — consumed one per-channel send count
       kArrival,  ///< a: channel, d: previous FIFO clamp value
-      kCharge,   ///< a: channel, cls: class index — one ledger charge
+      kCharge,   ///< a: channel, cls: class — one ledger charge (and
+                 ///< so one consumed per-channel send count)
       kLocal,    ///< a: slot — enqueued a same-shard event
       kCross,    ///< a: uid, dest: shard, d: arrival t — cross send
       kFinish,   ///< a: node — set its finish time (was unset)
     };
-    Kind kind = kCount;
+    Kind kind = kArrival;
     std::uint8_t cls = 0;
     std::int32_t dest = 0;
     std::uint64_t a = 0;
@@ -127,12 +127,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     Entry entry;
     NodeId node = kNoNode;
     std::uint32_t save = 0;
-    std::int64_t alg_msgs = 0;
-    std::int64_t ctl_msgs = 0;
-    std::int64_t rec_msgs = 0;
-    Weight alg_cost = 0;
-    Weight ctl_cost = 0;
-    Weight rec_cost = 0;
+    RunStats charges;  ///< the handler's sends; only per-class fields
     bool is_edge = false;
     std::vector<Undo> undo;
     /// Exception the handler threw, if any. A throw during speculation
@@ -224,37 +219,19 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
 
   /// Bills one message of class cls on `channel`: the engine-level
   /// per-channel count moves immediately (undoable), but the RunStats
-  /// deltas accumulate on the *current event* and reach the committed
-  /// ledger only if GVT passes it — never speculatively.
+  /// charge accumulates on the *current event* and reaches the
+  /// committed ledger only if GVT passes it — never speculatively.
   void bill(MsgClass cls, Weight w, std::size_t channel) {
-    ++eng->channel_messages_[class_index(cls)][channel];
+    eng->ledger_.charge(channel, cls);
     if (recording) {
       cur_undo.push_back(Undo{Undo::kCharge,
                               static_cast<std::uint8_t>(class_index(cls)), 0,
                               channel, 0.0});
-      if (cls == MsgClass::kAlgorithm) {
-        ++cur_alg_msgs;
-        cur_alg_cost += w;
-      } else if (cls == MsgClass::kControl) {
-        ++cur_ctl_msgs;
-        cur_ctl_cost += w;
-      } else {
-        ++cur_rec_msgs;
-        cur_rec_cost += w;
-      }
+      cur_charges.charge(cls, w);
     } else {
       // on_start sends run once, before any speculation, and can never
       // be rolled back: they commit immediately.
-      if (cls == MsgClass::kAlgorithm) {
-        ++start_stats.algorithm_messages;
-        start_stats.algorithm_cost += w;
-      } else if (cls == MsgClass::kControl) {
-        ++start_stats.control_messages;
-        start_stats.control_cost += w;
-      } else {
-        ++start_stats.recovery_messages;
-        start_stats.recovery_cost += w;
-      }
+      start_stats.charge(cls, w);
     }
   }
 
@@ -277,116 +254,42 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   }
 
   void engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) override {
-    const Graph& g = *eng->graph_;
-    const Edge& edge = g.edge(e);
-    require(edge.u == from || edge.v == from,
-            "process may only send on its own incident edges");
-    // Same directed-channel FIFO clamp and keyed draw as the sequential
-    // engine and ShardEngine. The channel's unique sender node lives in
-    // exactly this shard, so counters — and their rollback rewinds,
-    // which run on this same worker — are race-free.
-    const std::size_t channel =
-        static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
-    if (eng->faults_ != nullptr) {
-      engine_send_faulty(from, e, edge, channel, std::move(m), cls);
-      return;
+    // The channel's unique sender node lives in exactly this shard, so
+    // its clamp and counts — and their rollback rewinds, which run on
+    // this same worker — are race-free. Every consumed count and clamp
+    // update is journaled, so a rolled-back send replays its exact
+    // draw and fate on re-execution.
+    const SendSite site = send_site(*eng->graph_, e, from);
+    const std::uint64_t count = eng->ledger_.sends(site.channel);
+    double& clamp = eng->last_arrival_[site.channel];
+    const SendPlan plan =
+        plan_send(site, count, now, clamp, eng->faults_,
+                  DrawnArrival{eng->delay_.get(), nullptr, eng->seed_, true});
+    if (!plan.charged) return;
+    bill(cls, site.w, site.channel);
+    if (plan.lost) return;
+    if (plan.commit_clamp) {
+      if (recording) {
+        cur_undo.push_back(Undo{Undo::kArrival, 0, 0, site.channel, clamp});
+      }
+      clamp = plan.arrival;
     }
-    const double d = eng->delay_->delay_keyed(
-        e, edge.w,
-        channel_delay_key(eng->seed_, channel, eng->channel_sends_[channel]++));
-    if (recording) cur_undo.push_back(Undo{Undo::kCount, 0, 0, channel, 0.0});
-    require(d >= 0.0 && d <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    require(d >= eng->delay_->min_delay(e, edge.w),
-            "delay model drew below its declared min_delay");
-    if (recording) {
-      cur_undo.push_back(
-          Undo{Undo::kArrival, 0, 0, channel, eng->last_arrival_[channel]});
-    }
-    const double arrival = std::max(now + d, eng->last_arrival_[channel]);
-    eng->last_arrival_[channel] = arrival;
-
     m.from = from;
     m.edge = e;
-    bill(cls, edge.w, channel);
-
+    corrupt(plan, eng->faults_, site, count, m);
+    Message dup;
+    if (plan.duplicate) dup = m;
     const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
-    const NodeId to = g.other(e, from);
-    route(eng->part_.shard(to), arrival, lin, idx, std::move(m));
+    const int dest = eng->part_.shard(site.to);
+    route(dest, plan.arrival, lin, next_send_index(), std::move(m));
+    if (plan.duplicate) {
+      route(dest, plan.dup_arrival, lin, next_send_index(), std::move(dup));
+    }
   }
 
-  /// Mirror of ShardEngine::engine_send_faulty (itself a mirror of the
-  /// sequential engine's): identical keyed fate for the identical
-  /// logical send, identical count-consumption and FIFO-clamp order —
-  /// and every consumed count / clamp update journaled, so a rolled-back
-  /// faulted send replays its exact fate on re-execution.
-  void engine_send_faulty(NodeId from, EdgeId e, const Edge& edge,
-                          std::size_t channel, Message m, MsgClass cls) {
-    const FaultInjector& faults = *eng->faults_;
-    if (faults.crashed(from, now)) return;
-    const std::uint64_t count = eng->channel_sends_[channel]++;
-    if (recording) cur_undo.push_back(Undo{Undo::kCount, 0, 0, channel, 0.0});
-    const FaultInjector::SendFate fate = faults.send_fate(channel, count);
-    if (fate.drop || faults.link_down(e, now)) {
-      bill(cls, edge.w, channel);
-      return;
-    }
-    const double d = eng->delay_->delay_keyed(
-        e, edge.w, channel_delay_key(eng->seed_, channel, count));
-    require(d >= 0.0 && d <= static_cast<double>(edge.w),
-            "delay model produced delay outside [0, w(e)]");
-    require(d >= eng->delay_->min_delay(e, edge.w),
-            "delay model drew below its declared min_delay");
-    const double arrival = std::max(now + d, eng->last_arrival_[channel]);
-    const NodeId to = eng->graph_->other(e, from);
-    if (faults.link_down(e, arrival) || faults.crashed(to, arrival)) {
-      bill(cls, edge.w, channel);
-      return;
-    }
-    if (recording) {
-      cur_undo.push_back(
-          Undo{Undo::kArrival, 0, 0, channel, eng->last_arrival_[channel]});
-    }
-    eng->last_arrival_[channel] = arrival;
-    m.from = from;
-    m.edge = e;
-    if (fate.garble) faults.garble(channel, count, m);
-    // Byzantine sender corruption, before the duplicate splits off —
-    // same order as Network::engine_send_faulty. Pure keyed function of
-    // (seed, salt, channel, count): a rolled-back corrupted send
-    // re-corrupts identically on re-execution.
-    if (faults.byzantine(from)) {
-      const auto byz = faults.byzantine_fate(channel, count);
-      if (byz == FaultInjector::ByzantineFate::kEquivocate) {
-        faults.equivocate(channel, count, m);
-      } else if (byz == FaultInjector::ByzantineFate::kForge) {
-        faults.forge(channel, count, m);
-      }
-    }
-    Message dup;
-    if (fate.duplicate) dup = m;
-    bill(cls, edge.w, channel);
-    const Lineage* lin = handler_lineage();
+  std::uint32_t next_send_index() {
     require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
-    const int dest = eng->part_.shard(to);
-    route(dest, arrival, lin, idx, std::move(m));
-    if (fate.duplicate) {
-      const double d2 = eng->delay_->delay_keyed(
-          e, edge.w, faults.dup_delay_key(channel, count));
-      require(d2 >= 0.0 && d2 <= static_cast<double>(edge.w),
-              "delay model produced delay outside [0, w(e)]");
-      require(d2 >= eng->delay_->min_delay(e, edge.w),
-              "delay model drew below its declared min_delay");
-      const double arr2 = std::max(now + d2, eng->last_arrival_[channel]);
-      if (!faults.link_down(e, arr2) && !faults.crashed(to, arr2)) {
-        require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-        const std::uint32_t idx2 = sends_in_handler++;
-        route(dest, arr2, lin, idx2, std::move(dup));
-      }
-    }
+    return sends_in_handler++;
   }
 
   void engine_schedule_self(NodeId v, double delay, Message m) override {
@@ -396,9 +299,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     m.from = v;
     m.edge = kNoEdge;
     const Lineage* lin = handler_lineage();
-    require(sends_in_handler != UINT32_MAX, "send index space exhausted");
-    const std::uint32_t idx = sends_in_handler++;
-    push_local(now + delay, lin, idx, std::move(m));
+    push_local(now + delay, lin, next_send_index(), std::move(m));
   }
 
   void engine_finish(NodeId v) override {
@@ -425,14 +326,11 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   /// Replays one journal record in reverse.
   void undo_one(const Undo& u) {
     switch (u.kind) {
-      case Undo::kCount:
-        --eng->channel_sends_[u.a];
-        break;
       case Undo::kArrival:
         eng->last_arrival_[u.a] = u.d;
         break;
       case Undo::kCharge:
-        --eng->channel_messages_[u.cls][u.a];
+        eng->ledger_.uncharge(u.a, static_cast<MsgClass>(u.cls));
         break;
       case Undo::kLocal: {
         // The child is pending: if it had been processed it sits
@@ -598,8 +496,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
     cur_slot = ev.slot;
     cur_lineage = nullptr;
     sends_in_handler = 0;
-    cur_alg_msgs = cur_ctl_msgs = cur_rec_msgs = 0;
-    cur_alg_cost = cur_ctl_cost = cur_rec_cost = 0;
+    cur_charges = RunStats{};
     recording = true;
     const std::uint32_t save = states.save(to);
     Context ctx = make_context(to);
@@ -617,15 +514,12 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
       }
       cur_undo.clear();
       states.restore(to, save);
-      done.push_back(Done{ev, to, save, 0, 0, 0, 0, 0, 0,
-                          msg.edge != kNoEdge, take_undo_vec(),
-                          std::current_exception()});
+      done.push_back(Done{ev, to, save, RunStats{}, msg.edge != kNoEdge,
+                          take_undo_vec(), std::current_exception()});
       return;
     }
     recording = false;
-    done.push_back(Done{ev, to, save, cur_alg_msgs, cur_ctl_msgs,
-                        cur_rec_msgs, cur_alg_cost, cur_ctl_cost,
-                        cur_rec_cost, msg.edge != kNoEdge,
+    done.push_back(Done{ev, to, save, cur_charges, msg.edge != kNoEdge,
                         std::move(cur_undo), nullptr});
     cur_undo = take_undo_vec();
   }
@@ -672,7 +566,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   std::uint64_t uid_counter = 0;
 
   // Current handler identity (for lazy lineage creation) and its
-  // accumulating ledger deltas.
+  // accumulating ledger charges.
   double cur_t = 0;
   const Lineage* cur_parent = nullptr;
   std::uint32_t cur_send_index = 0;
@@ -682,12 +576,7 @@ struct TimeWarpEngine::Shard final : public EngineBackend {
   const Lineage* cur_lineage = nullptr;
   std::uint32_t sends_in_handler = 0;
   bool recording = false;
-  std::int64_t cur_alg_msgs = 0;
-  std::int64_t cur_ctl_msgs = 0;
-  std::int64_t cur_rec_msgs = 0;
-  Weight cur_alg_cost = 0;
-  Weight cur_ctl_cost = 0;
-  Weight cur_rec_cost = 0;
+  RunStats cur_charges;
 
   RunStats start_stats;  // on_start sends: committed immediately
 
@@ -712,21 +601,14 @@ TimeWarpEngine::TimeWarpEngine(const Graph& g, const ProcessFactory& factory,
 TimeWarpEngine::TimeWarpEngine(const Graph& g, ProcessStore store,
                                std::unique_ptr<DelayModel> delay,
                                std::uint64_t seed, Options opt)
-    : graph_(&g),
+    : LedgerHost(g.edge_count()),
+      graph_(&g),
       processes_(std::move(store)),
       delay_(std::move(delay)),
       seed_(seed),
       part_(partition_shards(g, opt.shards, opt.partition)),
       quantum_(opt.quantum),
       last_arrival_(static_cast<std::size_t>(2 * g.edge_count()), 0.0),
-      channel_sends_(static_cast<std::size_t>(2 * g.edge_count()), 0),
-      channel_messages_{
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0),
-          std::vector<std::int64_t>(static_cast<std::size_t>(2 * g.edge_count()),
-                                    0)},
       finish_time_(static_cast<std::size_t>(g.node_count()), -1.0) {
   require(delay_ != nullptr, "delay model must not be null");
   require(opt.threads >= 0, "thread count must be >= 0");
@@ -783,14 +665,7 @@ RunStats TimeWarpEngine::run() {
   const auto ks = static_cast<std::size_t>(part_.shards);
 
   pool_->run_indexed(ks, [this](std::size_t s) { shards_[s]->start(); });
-  for (const auto& sh : shards_) {
-    stats_.algorithm_messages += sh->start_stats.algorithm_messages;
-    stats_.control_messages += sh->start_stats.control_messages;
-    stats_.recovery_messages += sh->start_stats.recovery_messages;
-    stats_.algorithm_cost += sh->start_stats.algorithm_cost;
-    stats_.control_cost += sh->start_stats.control_cost;
-    stats_.recovery_cost += sh->start_stats.recovery_cost;
-  }
+  for (const auto& sh : shards_) stats_.add_charges(sh->start_stats);
 
   for (;;) {
     ++rounds_;
@@ -824,12 +699,7 @@ void TimeWarpEngine::commit_shard(Shard& sh, double bound, double& max_freed) {
       // handler's throw is genuine, not a mis-speculation artifact.
       std::rethrow_exception(d.error);
     }
-    stats_.algorithm_messages += d.alg_msgs;
-    stats_.control_messages += d.ctl_msgs;
-    stats_.recovery_messages += d.rec_msgs;
-    stats_.algorithm_cost += d.alg_cost;
-    stats_.control_cost += d.ctl_cost;
-    stats_.recovery_cost += d.rec_cost;
+    stats_.add_charges(d.charges);
     ++stats_.events;
     if (d.is_edge) {
       stats_.completion_time = std::max(stats_.completion_time, d.entry.t);
@@ -900,35 +770,6 @@ bool TimeWarpEngine::all_finished() const {
 double TimeWarpEngine::last_finish_time() const {
   require(all_finished(), "not all nodes have finished");
   return *std::max_element(finish_time_.begin(), finish_time_.end());
-}
-
-std::int64_t TimeWarpEngine::edge_message_count(EdgeId e) const {
-  const auto c = static_cast<std::size_t>(2 * e);
-  return channel_messages_[0][c] + channel_messages_[0][c + 1] +
-         channel_messages_[1][c] + channel_messages_[1][c + 1] +
-         channel_messages_[2][c] + channel_messages_[2][c + 1];
-}
-
-std::int64_t TimeWarpEngine::edge_message_count(EdgeId e, MsgClass cls) const {
-  const auto c = static_cast<std::size_t>(2 * e);
-  const auto& counts = channel_messages_[class_index(cls)];
-  return counts[c] + counts[c + 1];
-}
-
-std::int64_t TimeWarpEngine::max_edge_message_count() const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e));
-  }
-  return best;
-}
-
-std::int64_t TimeWarpEngine::max_edge_message_count(MsgClass cls) const {
-  std::int64_t best = 0;
-  for (EdgeId e = 0; e < graph_->edge_count(); ++e) {
-    best = std::max(best, edge_message_count(e, cls));
-  }
-  return best;
 }
 
 }  // namespace csca

@@ -49,7 +49,6 @@
 // deliveries use set_commit_hook, which fires per committed event only.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -67,7 +66,7 @@ namespace csca {
 
 class FaultInjector;
 
-class TimeWarpEngine final : public ProcessHost {
+class TimeWarpEngine final : public LedgerHost {
  public:
   struct Options {
     int shards = 1;
@@ -186,11 +185,6 @@ class TimeWarpEngine final : public ProcessHost {
   }
   bool all_finished() const override;
   double last_finish_time() const override;
-  std::int64_t edge_message_count(EdgeId e) const override;
-  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const override;
-  std::int64_t max_edge_message_count() const override;
-  std::int64_t max_edge_message_count(MsgClass cls) const override;
-
  private:
   /// Birth certificate of a delivered event — same shape and total
   /// order as ShardEngine::Lineage (see the ordering discussion there),
@@ -227,11 +221,6 @@ class TimeWarpEngine final : public ProcessHost {
 
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  static std::size_t class_index(MsgClass cls) {
-    return cls == MsgClass::kAlgorithm ? 0
-           : cls == MsgClass::kControl ? 1
-                                       : 2;
-  }
   SpscChannel<Batch>& channel(int from, int to) {
     return *channels_[static_cast<std::size_t>(from) *
                           static_cast<std::size_t>(part_.shards) +
@@ -255,12 +244,11 @@ class TimeWarpEngine final : public ProcessHost {
   ShardPartition part_;
   int quantum_;
 
-  // Sender-owned per-directed-channel state (2 * edge + direction),
-  // written race-free by the channel's unique sender shard — rollback
-  // runs on the owning shard's worker, so the rewinds are too.
+  // Sender-owned per-directed-channel state (2 * edge + direction):
+  // these clamps and the counts in ledger_ are written race-free by the
+  // channel's unique sender shard — rollback runs on the owning shard's
+  // worker, so the rewinds are too.
   std::vector<double> last_arrival_;
-  std::vector<std::uint64_t> channel_sends_;
-  std::array<std::vector<std::int64_t>, kMsgClassCount> channel_messages_;
 
   // Owner-shard-written per-node state.
   std::vector<double> finish_time_;

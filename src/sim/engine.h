@@ -189,4 +189,31 @@ class ProcessHost {
   virtual std::int64_t max_edge_message_count(MsgClass cls) const = 0;
 };
 
+/// The engines' ProcessHost base: the per-link accessors read the
+/// engine's ChannelLedger, and throw PreconditionError for an edge id
+/// outside [0, edge_count).
+class LedgerHost : public ProcessHost {
+ public:
+  std::int64_t edge_message_count(EdgeId e) const final {
+    return ledger_.edge_message_count(e);
+  }
+  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const final {
+    return ledger_.edge_message_count(e, cls);
+  }
+  std::int64_t max_edge_message_count() const final {
+    return ledger_.max_edge_message_count();
+  }
+  std::int64_t max_edge_message_count(MsgClass cls) const final {
+    return ledger_.max_edge_message_count(cls);
+  }
+
+ protected:
+  explicit LedgerHost(int edge_count) : ledger_(edge_count) {}
+
+  /// Per-channel message counts: charged attempts, dropped ones
+  /// included (fault duplicates are not sends). Their per-channel
+  /// totals are the send counts that key delay draws and fault fates.
+  ChannelLedger ledger_;
+};
+
 }  // namespace csca

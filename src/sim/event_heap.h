@@ -221,7 +221,10 @@ class EventHeap {
   /// ~1/8 of the pending entries, capped so the slice stays a few
   /// hundred KB — small enough to sort in cache, large enough to
   /// amortize the O(far) partition scan. A slice at a single time is as
-  /// narrow as a slice gets, so it never halves the width.
+  /// narrow as a slice gets, so it never halves the width. A sweep that
+  /// emptied the far tier never doubles it: a wider horizon would have
+  /// moved nothing more, and a near-empty queue, which sweeps on every
+  /// pop, would double it without bound.
   void sweep() {
     // far_min_ is maintained incrementally by push(), so one partition
     // pass suffices; it recomputes the min of what it keeps (and the
@@ -249,7 +252,7 @@ class EventHeap {
         (run_.size() + far_.size()) / 8, 1024, 32768);
     if (run_.size() > 2 * target) {
       if (run_.front().t != run_.back().t) width_ *= 0.5;
-    } else if (run_.size() < target / 2) {
+    } else if (run_.size() < target / 2 && !far_.empty()) {
       width_ *= 2.0;
     }
   }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <vector>
 
 #include "graph/graph.h"
 
@@ -26,9 +27,14 @@ enum class MsgClass {
   kRecovery,   ///< re-stabilization traffic after topology churn
 };
 
-/// Number of MsgClass values; per-class engine arrays size from this so
-/// adding a class is a one-line change plus the billing branches.
+/// Number of MsgClass values; per-class engine arrays size from this.
 inline constexpr int kMsgClassCount = 3;
+
+/// Position of a class in per-class arrays (the enumerators count up
+/// from 0).
+constexpr std::size_t class_index(MsgClass cls) {
+  return static_cast<std::size_t>(cls);
+}
 
 /// Payload storage with a small-buffer optimization. Almost every
 /// protocol message in this repo carries at most 4 int64 fields (tags,
@@ -226,6 +232,110 @@ struct RunStats {
   Weight total_cost() const {
     return algorithm_cost + control_cost + recovery_cost;
   }
+
+  /// Bills one message of class cls sent on an edge of weight w. With
+  /// add_charges, the only writer of the per-class fields.
+  void charge(MsgClass cls, Weight w) {
+    switch (cls) {
+      case MsgClass::kAlgorithm:
+        ++algorithm_messages;
+        algorithm_cost += w;
+        return;
+      case MsgClass::kControl:
+        ++control_messages;
+        control_cost += w;
+        return;
+      case MsgClass::kRecovery:
+        ++recovery_messages;
+        recovery_cost += w;
+        return;
+    }
+  }
+
+  /// Adds another ledger's per-class charges. events and
+  /// completion_time are left to the caller, whose merge rule depends
+  /// on how the two runs relate (concurrent shards take the max of the
+  /// completion times, back-to-back slices their sum).
+  void add_charges(const RunStats& o) {
+    algorithm_messages += o.algorithm_messages;
+    control_messages += o.control_messages;
+    recovery_messages += o.recovery_messages;
+    algorithm_cost += o.algorithm_cost;
+    control_cost += o.control_cost;
+    recovery_cost += o.recovery_cost;
+  }
+};
+
+/// Per-directed-channel, per-class message counts of one run: the
+/// per-link load the ProcessHost accessors report. A channel is
+/// 2 * edge + direction (0 when the sender is the edge's u endpoint).
+/// Each channel has a unique sender node, so an engine whose shards
+/// own disjoint node sets writes it without locks. Counts are 32-bit,
+/// which keeps the ledger at 24 bytes per edge: a channel carries at
+/// most 2^32-1 messages of one class, and the next charge throws.
+class ChannelLedger {
+ public:
+  explicit ChannelLedger(int edge_count)
+      : edges_(edge_count),
+        counts_(static_cast<std::size_t>(edge_count) * 2 * kMsgClassCount,
+                0) {}
+
+  void charge(std::size_t channel, MsgClass cls) {
+    std::uint32_t& c = at(channel, cls);
+    require(c != UINT32_MAX, "channel message count space exhausted");
+    ++c;
+  }
+  /// Reverses one charge (optimistic rollback).
+  void uncharge(std::size_t channel, MsgClass cls) { --at(channel, cls); }
+
+  /// Attempts charged on the channel so far, all classes together.
+  /// This is the per-channel send count that keys delay draws and
+  /// fault fates.
+  std::uint64_t sends(std::size_t channel) const {
+    const std::uint32_t* c = &counts_[channel * kMsgClassCount];
+    std::uint64_t sum = 0;
+    for (int i = 0; i < kMsgClassCount; ++i) sum += c[i];
+    return sum;
+  }
+
+  /// Messages over edge e, both directions, all classes.
+  std::int64_t edge_message_count(EdgeId e) const {
+    const std::uint32_t* c = edge_counts(e);
+    std::int64_t sum = 0;
+    for (int i = 0; i < 2 * kMsgClassCount; ++i) sum += c[i];
+    return sum;
+  }
+  /// Messages of class cls over edge e, both directions.
+  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const {
+    const std::uint32_t* c = edge_counts(e) + class_index(cls);
+    return std::int64_t{c[0]} + c[kMsgClassCount];
+  }
+  std::int64_t max_edge_message_count() const {
+    std::int64_t best = 0;
+    for (EdgeId e = 0; e < edges_; ++e) {
+      best = std::max(best, edge_message_count(e));
+    }
+    return best;
+  }
+  std::int64_t max_edge_message_count(MsgClass cls) const {
+    std::int64_t best = 0;
+    for (EdgeId e = 0; e < edges_; ++e) {
+      best = std::max(best, edge_message_count(e, cls));
+    }
+    return best;
+  }
+
+ private:
+  std::uint32_t& at(std::size_t channel, MsgClass cls) {
+    return counts_[channel * kMsgClassCount + class_index(cls)];
+  }
+  const std::uint32_t* edge_counts(EdgeId e) const {
+    require(e >= 0 && e < edges_, "edge id out of range");
+    return &counts_[static_cast<std::size_t>(e) * 2 * kMsgClassCount];
+  }
+
+  int edges_;
+  std::vector<std::uint32_t> counts_;  // [channel][class]
 };
 
 /// Shared running total of control-class transmission cost, written by

@@ -13,7 +13,6 @@
 // (EngineBackend for its processes, ProcessHost for the analysis layer).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -25,19 +24,12 @@
 #include "sim/event_heap.h"
 #include "sim/message.h"
 #include "sim/process_store.h"
+#include "sim/send_pipeline.h"
 #include "util/rng.h"
 
 namespace csca {
 
 class Network;
-class FaultInjector;
-
-/// Why a fault swallowed a send attempt (see InvariantObserver::on_drop).
-enum class FaultDropReason {
-  kChannelDrop,      // keyed per-send drop draw
-  kLinkDown,         // edge inside an outage interval at send or arrival
-  kReceiverCrashed,  // destination crash-stops before the arrival time
-};
 
 /// Passive hook interface for the protocol analysis layer (src/check/).
 /// When attached via Network::set_observer, the engine invokes one hook
@@ -109,7 +101,7 @@ class InvariantObserver {
 /// (sends, fault duplicates and self-schedules together; the queue's
 /// tie-break is a 32-bit sequence). The next one throws
 /// PreconditionError("event sequence space exhausted").
-class Network : public ProcessHost, private EngineBackend {
+class Network : public LedgerHost, private EngineBackend {
  public:
   using ProcessFactory = csca::ProcessFactory;
   using ProcessStore = PooledStore<Process>;
@@ -173,22 +165,6 @@ class Network : public ProcessHost, private EngineBackend {
   /// docs/model.md, "Engine internals".
   const QueueCounters& queue_counters() const { return queue_.counters(); }
 
-  std::int64_t edge_message_count(EdgeId e) const override {
-    require(e >= 0 && e < graph_->edge_count(), "edge id out of range");
-    const auto i = static_cast<std::size_t>(e);
-    return edge_messages_[0][i] + edge_messages_[1][i] +
-           edge_messages_[2][i];
-  }
-
-  std::int64_t edge_message_count(EdgeId e, MsgClass cls) const override {
-    require(e >= 0 && e < graph_->edge_count(), "edge id out of range");
-    return edge_messages_[class_index(cls)][static_cast<std::size_t>(e)];
-  }
-
-  std::int64_t max_edge_message_count() const override;
-
-  std::int64_t max_edge_message_count(MsgClass cls) const override;
-
   Process& process(NodeId v) override {
     graph_->check_node(v);
     return processes_.at(v);
@@ -250,20 +226,15 @@ class Network : public ProcessHost, private EngineBackend {
   // key and the destination is recomputed from the stamped from/edge
   // metadata, keeping each pooled node to one cache line.
 
-  static std::size_t class_index(MsgClass cls) {
-    return cls == MsgClass::kAlgorithm ? 0
-           : cls == MsgClass::kControl ? 1
-                                       : 2;
-  }
-
   double engine_now() const override { return now_; }
   const Graph& engine_graph() const override { return *graph_; }
   void engine_send(NodeId from, EdgeId e, Message m, MsgClass cls) override;
-  // Cold continuation of engine_send when a fault injector is attached:
-  // fate draw, loss checks at send and arrival time, phantom duplicate.
-  void engine_send_faulty(NodeId from, EdgeId e, const Edge& edge,
-                          std::size_t channel, Message m, MsgClass cls);
   void engine_schedule_self(NodeId v, double delay, Message m) override;
+  // Queues m for delivery at t under the next sequence number.
+  void enqueue(double t, Message&& m) {
+    require(seq_ != UINT32_MAX, "event sequence space exhausted");
+    queue_.push(HeapKey{t, seq_++}, std::move(m));
+  }
   void engine_finish(NodeId v) override;
   void ensure_started();
   // Pops and delivers the event whose key the caller just peeked.
@@ -279,17 +250,11 @@ class Network : public ProcessHost, private EngineBackend {
   EventHeap<Message> queue_;
   // last arrival time per directed edge (2 * edge + direction bit).
   std::vector<double> last_arrival_;
-  // per-link message counts, indexed [class][edge].
-  std::array<std::vector<std::int64_t>, kMsgClassCount> edge_messages_;
   std::vector<double> finish_time_;
   RunStats stats_;
   InvariantObserver* observer_ = nullptr;
   bool started_ = false;
-  // Keyed-draw mode (set_keyed_delays): per-directed-channel send
-  // counts, allocated on enable. Fault fates are keyed by the same
-  // counts, so attaching an active injector also allocates them.
-  bool keyed_delays_ = false;
-  std::vector<std::uint64_t> channel_sends_;
+  bool keyed_delays_ = false;  // see set_keyed_delays
   const FaultInjector* faults_ = nullptr;
   bool recovery_billing_ = false;
 };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "fault/fault_injector.h"
+#include "sim/send_pipeline.h"
 
 namespace csca {
 
@@ -27,78 +27,35 @@ SyncEngine::SyncEngine(const Graph& g, ProcessStore store,
 }
 
 void SyncEngine::do_send(NodeId from, EdgeId e, Message m, MsgClass cls) {
-  const Edge& edge = graph_->edge(e);
-  require(edge.u == from || edge.v == from,
-          "process may only send on its own incident edges");
+  const SendSite site = send_site(*graph_, e, from);
   if (enforce_in_synch_) {
-    require(pulse_ % edge.w == 0,
+    require(pulse_ % site.w == 0,
             "in-synch protocol may send on edge e only at pulses "
             "divisible by w(e)");
   }
+  const std::uint64_t count =
+      faults_ != nullptr ? channel_sends_[site.channel] : 0;
+  const SendPlan plan = plan_send(site, count, static_cast<double>(pulse_),
+                                  0.0, faults_, PulseArrival{});
+  if (!plan.charged) return;
+  if (faults_ != nullptr) ++channel_sends_[site.channel];
+  stats_.charge(cls, site.w);
+  if (plan.lost) return;
   m.from = from;
   m.edge = e;
-  const auto charge = [&] {
-    if (cls == MsgClass::kAlgorithm) {
-      ++stats_.algorithm_messages;
-      stats_.algorithm_cost += edge.w;
-    } else if (cls == MsgClass::kControl) {
-      ++stats_.control_messages;
-      stats_.control_cost += edge.w;
-    } else {
-      ++stats_.recovery_messages;
-      stats_.recovery_cost += edge.w;
-    }
-  };
-  if (faults_ != nullptr) {
-    // Mirror of Network::engine_send_faulty in the pulse domain: the
-    // attempt is always charged, fates are keyed by the per-channel
-    // send count, and loss is decided at send time (arrival pulses are
-    // known exactly).
-    if (faults_->crashed(from, static_cast<double>(pulse_))) return;
-    const std::size_t channel =
-        static_cast<std::size_t>(2 * e) + (from == edge.u ? 0 : 1);
-    const std::uint64_t count = channel_sends_[channel]++;
-    charge();
-    const NodeId to = graph_->other(e, from);
-    const double arrival = static_cast<double>(pulse_ + edge.w);
-    const FaultInjector::SendFate fate = faults_->send_fate(channel, count);
-    if (fate.drop || faults_->link_down(e, static_cast<double>(pulse_)) ||
-        faults_->link_down(e, arrival) || faults_->crashed(to, arrival)) {
-      return;
-    }
-    // Corrupts the delivered copy only (the charge above is that of a
-    // healthy-looking send); same keyed mask as the async engines.
-    if (fate.garble) faults_->garble(channel, count, m);
-    // Byzantine sender corruption, before the duplicate splits off —
-    // same order as Network::engine_send_faulty.
-    if (faults_->byzantine(from)) {
-      const auto byz = faults_->byzantine_fate(channel, count);
-      if (byz == FaultInjector::ByzantineFate::kEquivocate) {
-        faults_->equivocate(channel, count, m);
-      } else if (byz == FaultInjector::ByzantineFate::kForge) {
-        faults_->forge(channel, count, m);
-      }
-    }
-    check_event_bounds(pulse_ + edge.w);
-    if (fate.duplicate) {
-      // The phantom copy arrives one transmission later (p + 2w), the
-      // pulse-domain analogue of an independent second delay draw.
-      const double arr2 = static_cast<double>(pulse_ + 2 * edge.w);
-      if (!faults_->link_down(e, arr2) && !faults_->crashed(to, arr2)) {
-        Message dup = m;
-        check_event_bounds(pulse_ + 2 * edge.w);
-        queue_.push(event_key(pulse_ + edge.w, 0, seq_++), std::move(m));
-        queue_.push(event_key(pulse_ + 2 * edge.w, 0, seq_++),
-                    std::move(dup));
-        return;
-      }
-    }
-    queue_.push(event_key(pulse_ + edge.w, 0, seq_++), std::move(m));
+  corrupt(plan, faults_, site, count, m);
+  // The plan's arrivals, p + w and p + 2w, as exact integer pulses.
+  const std::int64_t at = pulse_ + site.w;
+  check_event_bounds(at);
+  if (plan.duplicate) {
+    const std::int64_t at2 = pulse_ + 2 * site.w;
+    check_event_bounds(at2);
+    Message dup = m;
+    queue_.push(event_key(at, 0, seq_++), std::move(m));
+    queue_.push(event_key(at2, 0, seq_++), std::move(dup));
     return;
   }
-  check_event_bounds(pulse_ + edge.w);
-  queue_.push(event_key(pulse_ + edge.w, 0, seq_++), std::move(m));
-  charge();
+  queue_.push(event_key(at, 0, seq_++), std::move(m));
 }
 
 void SyncEngine::set_faults(const FaultInjector* f) {

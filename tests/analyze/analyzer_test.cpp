@@ -257,7 +257,17 @@ TEST(AnalyzeScope, ClassifyPathMatchesTheRepoLayout) {
   EXPECT_TRUE(classify_path("src/fault/reliable_link.h").sim_visible);
   EXPECT_TRUE(classify_path("src/sim/message.h").ledger_accessor);
   EXPECT_TRUE(classify_path("src/fault/reliable_link.cpp").ledger_accessor);
+  EXPECT_TRUE(
+      classify_path("src/fault/sync_reliable_link.cpp").ledger_accessor);
   EXPECT_FALSE(classify_path("src/sim/engine.h").ledger_accessor);
+  // The engines bill through RunStats::charge, so none of them may
+  // write a ledger field directly.
+  for (const char* engine :
+       {"src/sim/network.cpp", "src/sim/sync_engine.cpp",
+        "src/sim/send_pipeline.h", "src/par/shard_engine.cpp",
+        "src/par/timewarp_engine.cpp"}) {
+    EXPECT_FALSE(classify_path(engine).ledger_accessor) << engine;
+  }
   EXPECT_TRUE(classify_path("src/util/rng.h").rng_home);
   EXPECT_FALSE(classify_path("src/util/rng.h").sim_visible);
   EXPECT_TRUE(classify_path("bench/bench_engine.cpp").bench_timing);

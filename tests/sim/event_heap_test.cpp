@@ -242,5 +242,50 @@ TEST(EventHeap, MatchesPriorityQueueWithBoundedWorkOnLeadPatterns) {
   }
 }
 
+
+// A long stretch with a one-event queue (a ping-pong: each pop pushes
+// the next event 1 later) sweeps once per pop, and every such sweep
+// empties the far tier. Widening the horizon there grew the width
+// without bound, so the 10^5-event wave that follows landed entirely
+// in the young heap: 357k young pushes and a 50,001-entry peak young
+// heap before the fix. The wave must be partitioned as a fresh one is,
+// within the bounds the lead-pattern test above holds (measured: 21.8k
+// young pushes, peak 4,097, 5.3 scanned per pop).
+TEST(EventHeap, WidthStaysFiniteAfterIdleStretch) {
+  EventHeap<Item> heap;
+  Rng rng(29);
+  std::uint32_t seq = 0;
+  double t = 0;
+  heap.push(HeapKey{0.0, seq++}, Item{});
+  for (int i = 0; i < 3000; ++i) {
+    t = heap.top_key().t;
+    heap.pop();
+    heap.push(HeapKey{t + 1.0, seq++}, Item{});
+  }
+  const QueueCounters before = heap.counters();
+  for (int i = 0; i < 100000; ++i) {
+    heap.push(HeapKey{t + rng.uniform_real(0.0, 10.0), seq++}, Item{});
+  }
+  // Each of the next 3 * 10^5 pops pushes one event, then the queue
+  // drains.
+  std::uint64_t pops = 0;
+  double last = 0;
+  while (!heap.empty()) {
+    const double now = heap.top_key().t;
+    ASSERT_GE(now, last);
+    last = now;
+    heap.pop();
+    if (++pops < 300000) {
+      heap.push(HeapKey{now + rng.uniform_real(0.0, 10.0), seq++}, Item{});
+    }
+  }
+  const QueueCounters& c = heap.counters();
+  EXPECT_LE(c.young_pushes - before.young_pushes, 100000u);
+  EXPECT_LE(c.peak_young, 24576u);
+  EXPECT_LE(static_cast<double>(c.scanned - before.scanned) /
+                static_cast<double>(pops),
+            6.0);
+}
+
 }  // namespace
 }  // namespace csca
