@@ -3,104 +3,12 @@
 #include <algorithm>
 #include <vector>
 
+#include "graph/indexed_heap.h"
 #include "graph/mst.h"
 #include "graph/shortest_paths.h"
 #include "graph/traversal.h"
 
 namespace csca {
-
-namespace {
-
-// The n single-source passes of measure() over one reused scratch:
-// dist, done and the heap are allocated once, the heap orders plain
-// (distance, node) entries, and no parent edges are tracked. Distances
-// equal dijkstra()'s (tests/graph/measures_test.cpp compares them).
-class DistanceSweep {
- public:
-  explicit DistanceSweep(const Graph& g)
-      : g_(g),
-        dist_(static_cast<std::size_t>(g.node_count())),
-        done_(static_cast<std::size_t>(g.node_count())) {}
-
-  // Distances from src; valid until the next call.
-  const std::vector<Weight>& from(NodeId src) {
-    std::fill(dist_.begin(), dist_.end(), ShortestPaths::kUnreachable);
-    std::fill(done_.begin(), done_.end(), 0);
-    heap_.clear();
-    dist_[static_cast<std::size_t>(src)] = 0;
-    push({0, src});
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), later);
-      const Entry top = heap_.back();
-      heap_.pop_back();
-      const auto vi = static_cast<std::size_t>(top.node);
-      if (done_[vi]) continue;
-      done_[vi] = 1;
-      for (const Arc a : g_.neighbors(top.node)) {
-        const Weight nd = top.dist + g_.weight(a.edge);
-        Weight& du = dist_[static_cast<std::size_t>(a.node)];
-        if (du == ShortestPaths::kUnreachable || nd < du) {
-          du = nd;
-          push({nd, a.node});
-        }
-      }
-    }
-    return dist_;
-  }
-
- private:
-  struct Entry {
-    Weight dist;
-    NodeId node;
-  };
-  // Max-heap comparator that keeps the smallest (dist, node) on top.
-  static bool later(const Entry& a, const Entry& b) {
-    return a.dist != b.dist ? a.dist > b.dist : a.node > b.node;
-  }
-  void push(Entry e) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), later);
-  }
-
-  const Graph& g_;
-  std::vector<Weight> dist_;
-  std::vector<char> done_;
-  std::vector<Entry> heap_;
-};
-
-}  // namespace
-
-Weight weighted_radius(const Graph& g, NodeId v) {
-  const auto sp = dijkstra(g, v);
-  Weight r = 0;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    require(sp.reachable(u), "weighted_radius requires a connected graph");
-    r = std::max(r, sp.dist[static_cast<std::size_t>(u)]);
-  }
-  return r;
-}
-
-Weight weighted_diameter(const Graph& g) {
-  require(is_connected(g), "weighted_diameter requires a connected graph");
-  Weight diam = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    diam = std::max(diam, weighted_radius(g, v));
-  }
-  return diam;
-}
-
-Weight max_neighbor_distance(const Graph& g) {
-  require(is_connected(g),
-          "max_neighbor_distance requires a connected graph");
-  Weight d = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto sp = dijkstra(g, v);
-    for (const Arc a : g.neighbors(v)) {
-      d = std::max(d, sp.dist[static_cast<std::size_t>(a.node)]);
-    }
-  }
-  return d;
-}
 
 NetworkMeasures measure(const Graph& g) {
   require(is_connected(g), "measure requires a connected graph");
@@ -110,15 +18,51 @@ NetworkMeasures measure(const Graph& g) {
   out.comm_E = g.total_weight();
   out.comm_V = mst_weight(g);
   out.W = g.max_weight();
-  out.comm_D = 0;
-  out.d = 0;
-  // One single-source pass per node serves both the diameter and d.
-  DistanceSweep sweep(g);
+
+  // Weighted CSR: v's arcs are [first[v], first[v + 1]) of to / w. Built
+  // per call, so weights re-assigned by churn are read fresh; it holds
+  // the weights next to the endpoints, so a relaxation costs no
+  // edge-table load. An n x n distance matrix (Floyd-Warshall) would
+  // make this call faster but its memory quadratic; the sweep stays
+  // O(n + m).
+  const auto n = static_cast<std::size_t>(g.node_count());
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<NodeId> to;
+  std::vector<Weight> w;
+  to.reserve(2 * static_cast<std::size_t>(g.edge_count()));
+  w.reserve(to.capacity());
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    const std::vector<Weight>& dist = sweep.from(v);
-    for (const Weight du : dist) out.comm_D = std::max(out.comm_D, du);
     for (const Arc a : g.neighbors(v)) {
-      out.d = std::max(out.d, dist[static_cast<std::size_t>(a.node)]);
+      to.push_back(a.node);
+      w.push_back(g.weight(a.edge));
+    }
+    first[static_cast<std::size_t>(v) + 1] = to.size();
+  }
+
+  // One single-source pass per node serves both the diameter and d.
+  std::vector<Weight> dist(n);
+  IndexedHeap heap;
+  heap.reset(g.node_count());
+  for (NodeId src = 0; src < g.node_count(); ++src) {
+    std::fill(dist.begin(), dist.end(), ShortestPaths::kUnreachable);
+    dist[static_cast<std::size_t>(src)] = 0;
+    heap.push(src, 0);
+    while (!heap.empty()) {
+      const auto [d, v] = heap.pop();
+      out.comm_D = std::max(out.comm_D, d);
+      const auto vi = static_cast<std::size_t>(v);
+      for (std::size_t i = first[vi]; i < first[vi + 1]; ++i) {
+        const Weight nd = d + w[i];
+        Weight& du = dist[static_cast<std::size_t>(to[i])];
+        if (du == ShortestPaths::kUnreachable || nd < du) {
+          du = nd;
+          heap.push(to[i], nd);
+        }
+      }
+    }
+    const auto si = static_cast<std::size_t>(src);
+    for (std::size_t i = first[si]; i < first[si + 1]; ++i) {
+      out.d = std::max(out.d, dist[static_cast<std::size_t>(to[i])]);
     }
   }
   return out;

@@ -25,17 +25,9 @@ struct NetworkMeasures {
   int m = 0;          ///< |E|
 };
 
-/// Weighted diameter Diam(G). Requires g connected. O(n * m log n).
-Weight weighted_diameter(const Graph& g);
-
-/// Weighted radius from v: Rad(v, G) = max_u dist(v, u).
-Weight weighted_radius(const Graph& g, NodeId v);
-
-/// The clock-synchronization parameter d = max_{(u,v) in E} dist(u, v):
-/// the largest weighted distance between *neighbors*. Requires g connected.
-Weight max_neighbor_distance(const Graph& g);
-
-/// Computes every parameter. Requires g connected.
+/// Computes every parameter. Requires g connected. Diam(G) and d come
+/// from n Dijkstra passes sharing one weighted CSR, one distance array
+/// and one IndexedHeap: O(n * m log n) time, O(n + m) memory.
 NetworkMeasures measure(const Graph& g);
 
 }  // namespace csca

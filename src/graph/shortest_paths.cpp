@@ -1,7 +1,5 @@
 #include "graph/shortest_paths.h"
 
-#include <queue>
-
 namespace csca {
 
 RootedTree ShortestPaths::tree(const Graph& g) const {
@@ -22,58 +20,45 @@ std::vector<EdgeId> ShortestPaths::path_to(const Graph& g, NodeId v) const {
 }
 
 namespace {
-ShortestPaths dijkstra_impl(const Graph& g, NodeId src,
-                            const std::vector<char>* allowed_edges) {
+template <typename Admit>
+ShortestPaths search(const Graph& g, NodeId src, const Admit& admit,
+                     NodeId stop) {
   g.check_node(src);
   const auto n = static_cast<std::size_t>(g.node_count());
   ShortestPaths out;
   out.source = src;
   out.dist.assign(n, ShortestPaths::kUnreachable);
   out.parent_edge.assign(n, kNoEdge);
-
-  using Entry = std::pair<Weight, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  std::vector<char> done(n, 0);
-  out.dist[static_cast<std::size_t>(src)] = 0;
-  heap.emplace(0, src);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (done[static_cast<std::size_t>(v)]) continue;
-    done[static_cast<std::size_t>(v)] = 1;
-    for (const Arc a : g.neighbors(v)) {
-      const EdgeId e = a.edge;
-      if (allowed_edges != nullptr &&
-          !(*allowed_edges)[static_cast<std::size_t>(e)]) {
-        continue;
-      }
-      const NodeId u = a.node;
-      const Weight nd = d + g.weight(e);
-      Weight& du = out.dist[static_cast<std::size_t>(u)];
-      if (du == ShortestPaths::kUnreachable || nd < du) {
-        du = nd;
-        out.parent_edge[static_cast<std::size_t>(u)] = e;
-        heap.emplace(nd, u);
-      }
-    }
-  }
+  IndexedHeap heap;
+  shortest_path_search(g, src, admit, stop, heap, out.dist,
+                       &out.parent_edge);
   return out;
 }
+
+constexpr auto every_arc = [](Arc) { return true; };
 }  // namespace
 
 ShortestPaths dijkstra(const Graph& g, NodeId src) {
-  return dijkstra_impl(g, src, nullptr);
+  return search(g, src, every_arc, kNoNode);
+}
+
+ShortestPaths dijkstra_until(const Graph& g, NodeId src, NodeId stop) {
+  g.check_node(stop);
+  return search(g, src, every_arc, stop);
 }
 
 ShortestPaths dijkstra_subgraph(const Graph& g, NodeId src,
                                 const std::vector<char>& allowed_edges) {
   require(allowed_edges.size() == static_cast<std::size_t>(g.edge_count()),
           "allowed_edges mask size must equal edge count");
-  return dijkstra_impl(g, src, &allowed_edges);
+  const auto in_subgraph = [&](Arc a) {
+    return allowed_edges[static_cast<std::size_t>(a.edge)] != 0;
+  };
+  return search(g, src, in_subgraph, kNoNode);
 }
 
 Weight distance(const Graph& g, NodeId u, NodeId v) {
-  return dijkstra(g, u).dist[static_cast<std::size_t>(v)];
+  return dijkstra_until(g, u, v).dist[static_cast<std::size_t>(v)];
 }
 
 std::int64_t spt_route_violations(const Graph& g, NodeId src,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/indexed_heap.h"
 #include "graph/tree.h"
 
 namespace csca {
@@ -34,8 +35,49 @@ struct ShortestPaths {
   std::vector<EdgeId> path_to(const Graph& g, NodeId v) const;
 };
 
+/// The Dijkstra kernel behind every search here and in partition/:
+/// settles nodes from src in (distance, node id) order, relaxing only
+/// the arcs admit(arc) accepts, and returns as soon as `stop` settles
+/// (kNoNode: once everything reachable has settled). On entry dist, and
+/// parent when non-null, hold kUnreachable / kNoEdge for every node the
+/// search can reach; on return a settled node's entries are final. The
+/// heap is reset here, so one heap serves any number of searches.
+template <typename Admit>
+void shortest_path_search(const Graph& g, NodeId src, const Admit& admit,
+                          NodeId stop, IndexedHeap& heap,
+                          std::vector<Weight>& dist,
+                          std::vector<EdgeId>* parent) {
+  heap.reset(g.node_count());
+  dist[static_cast<std::size_t>(src)] = 0;
+  heap.push(src, 0);
+  while (!heap.empty()) {
+    const auto [d, v] = heap.pop();
+    if (v == stop) return;
+    for (const Arc a : g.neighbors(v)) {
+      if (!admit(a)) continue;
+      // A settled node never relaxes again: weights are >= 1, so
+      // nd > d >= its distance.
+      const Weight nd = d + g.weight(a.edge);
+      Weight& du = dist[static_cast<std::size_t>(a.node)];
+      if (du == ShortestPaths::kUnreachable || nd < du) {
+        du = nd;
+        if (parent != nullptr) {
+          (*parent)[static_cast<std::size_t>(a.node)] = a.edge;
+        }
+        heap.push(a.node, nd);
+      }
+    }
+  }
+}
+
 /// Dijkstra from src over non-negative integer weights.
 ShortestPaths dijkstra(const Graph& g, NodeId src);
+
+/// Dijkstra from src that returns once `stop` settles: dist and
+/// parent_edge are final for stop and for every node on its shortest
+/// path (path_to(g, stop) is the one dijkstra() gives); entries of
+/// nodes farther than stop are partial.
+ShortestPaths dijkstra_until(const Graph& g, NodeId src, NodeId stop);
 
 /// Dijkstra restricted to the subgraph G' = (V, E') where E' is the set
 /// of edges with allowed_edges[e] != 0. Used by the SLT construction

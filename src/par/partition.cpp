@@ -1,80 +1,22 @@
 #include "par/partition.h"
 
 #include <algorithm>
-#include <queue>
-#include <tuple>
+
+#include "graph/indexed_heap.h"
 
 namespace csca {
 
 namespace {
 
-using Cand = std::pair<Weight, NodeId>;
-
-// Max-heap of (attraction, node): attraction is the total weight of
-// edges from `node` into the shard currently being grown. Entries go
-// stale when a node's attraction grows or the node is assigned; stale
-// entries are skipped on pop (lazy deletion). Ties prefer the smaller
-// node id so the result is independent of heap internals.
-bool cand_less(const Cand& a, const Cand& b) {
-  return a.first < b.first || (a.first == b.first && a.second > b.second);
-}
-
-// The historical weighted-greedy BFS: grows shards one at a time to a
-// ceil(n / k) node target. Runs verbatim for hub-free graphs — the
-// delegate path below only wraps it with hub pre-assignment.
-ShardPartition partition_greedy(const Graph& g, int k) {
-  const int n = g.node_count();
-  ShardPartition out;
-  out.shard_of.assign(static_cast<std::size_t>(n), -1);
-  const int target = (n + k - 1) / k;
-
-  std::vector<Weight> attraction(static_cast<std::size_t>(n), 0);
-
-  int assigned = 0;
-  NodeId scan = 0;  // lowest possibly-unassigned node
-  int shard = 0;
-  while (assigned < n) {
-    // Grow one shard to its target size. If the frontier exhausts early
-    // (disconnected remainder), reseed the same shard from the next
-    // unassigned node: each pass fills exactly min(target, remaining)
-    // nodes, so the shard count never exceeds k.
-    std::priority_queue<Cand, std::vector<Cand>, decltype(&cand_less)>
-        frontier(&cand_less);
-    std::fill(attraction.begin(), attraction.end(), Weight{0});
-    int size = 0;
-    while (size < target && assigned < n) {
-      if (frontier.empty()) {
-        while (out.shard_of[static_cast<std::size_t>(scan)] != -1) ++scan;
-        frontier.push({Weight{0}, scan});
-      }
-      const auto [gain, v] = frontier.top();
-      frontier.pop();
-      const auto vi = static_cast<std::size_t>(v);
-      if (out.shard_of[vi] != -1 || gain != attraction[vi]) {
-        continue;  // already assigned, or a stale entry
-      }
-      out.shard_of[vi] = shard;
-      ++size;
-      ++assigned;
-      for (const Arc a : g.neighbors(v)) {
-        const auto ui = static_cast<std::size_t>(a.node);
-        if (out.shard_of[ui] != -1) continue;
-        attraction[ui] += g.weight(a.edge);
-        frontier.push({attraction[ui], a.node});
-      }
-    }
-    ++shard;
-  }
-  out.shards = shard;
-  return out;
-}
-
-// Delegate path: hubs are pre-assigned round-robin (descending degree),
-// then each shard grows around its hubs — the pass's frontier is seeded
-// from the hubs' neighborhoods, so leaves cluster with *a* hub while
-// distinct hubs land on distinct workers.
-ShardPartition partition_with_hubs(const Graph& g, int k,
-                                   std::vector<NodeId> hubs) {
+// Grows the shards one at a time, each to ceil(rest / k) nodes, where
+// `rest` counts the nodes the hubs leave. Hubs are pre-assigned
+// round-robin (descending degree) and each shard's frontier starts from
+// its hubs' neighborhoods, so leaves cluster with *a* hub while
+// distinct hubs land on distinct workers. The frontier ranks an
+// unassigned node by its attraction, the total weight of its edges into
+// the shard so far; the heap's priority is the negated attraction, so
+// ties go to the smaller id.
+ShardPartition grow_shards(const Graph& g, int k, std::vector<NodeId> hubs) {
   const int n = g.node_count();
   ShardPartition out;
   out.shard_of.assign(static_cast<std::size_t>(n), -1);
@@ -83,66 +25,46 @@ ShardPartition partition_with_hubs(const Graph& g, int k,
         static_cast<int>(i) % k;
   }
   int assigned = static_cast<int>(hubs.size());
-  const int rest = n - assigned;
-  const int target = (rest + k - 1) / k;
+  const int target = (n - assigned + k - 1) / k;
 
-  std::vector<Weight> attraction(static_cast<std::size_t>(n), 0);
-  NodeId scan = 0;
+  IndexedHeap frontier;
+  frontier.reset(n);
+  const auto attract = [&](NodeId v) {
+    for (const Arc a : g.neighbors(v)) {
+      if (out.shard_of[static_cast<std::size_t>(a.node)] != -1) continue;
+      frontier.push(a.node,
+                    frontier.priority_or(a.node, 0) - g.weight(a.edge));
+    }
+  };
+  NodeId scan = 0;  // lowest possibly-unassigned node
   for (int shard = 0; shard < k && assigned < n; ++shard) {
-    std::priority_queue<Cand, std::vector<Cand>, decltype(&cand_less)>
-        frontier(&cand_less);
-    std::fill(attraction.begin(), attraction.end(), Weight{0});
-    // Seed with the neighborhoods of this shard's hubs.
+    frontier.clear();
     for (std::size_t i = static_cast<std::size_t>(shard); i < hubs.size();
          i += static_cast<std::size_t>(k)) {
-      for (const Arc a : g.neighbors(hubs[i])) {
-        const auto ui = static_cast<std::size_t>(a.node);
-        if (out.shard_of[ui] != -1) continue;
-        attraction[ui] += g.weight(a.edge);
-        frontier.push({attraction[ui], a.node});
-      }
+      attract(hubs[i]);
     }
+    // If the frontier runs dry (disconnected remainder), reseed the same
+    // shard from the next unassigned node: each pass fills exactly
+    // min(target, remaining) nodes, so k passes cover every node.
     int size = 0;
     while (size < target && assigned < n) {
       if (frontier.empty()) {
         while (out.shard_of[static_cast<std::size_t>(scan)] != -1) ++scan;
-        frontier.push({Weight{0}, scan});
+        frontier.push(scan, 0);
       }
-      const auto [gain, v] = frontier.top();
-      frontier.pop();
-      const auto vi = static_cast<std::size_t>(v);
-      if (out.shard_of[vi] != -1 || gain != attraction[vi]) continue;
-      out.shard_of[vi] = shard;
+      const NodeId v = frontier.pop().node;
+      out.shard_of[static_cast<std::size_t>(v)] = shard;
       ++size;
       ++assigned;
-      for (const Arc a : g.neighbors(v)) {
-        const auto ui = static_cast<std::size_t>(a.node);
-        if (out.shard_of[ui] != -1) continue;
-        attraction[ui] += g.weight(a.edge);
-        frontier.push({attraction[ui], a.node});
-      }
+      attract(v);
     }
   }
-  // k passes at ceil(rest / k) each cover every non-hub node; anything
-  // else is a bug in the accounting above.
-  require(assigned == n, "hub partition left nodes unassigned");
+  require(assigned == n, "shard partition left nodes unassigned");
 
-  // A shard can end up empty only in the degenerate all-hubs case with
-  // fewer hubs than k; compact ids so the engine never sees an empty
-  // shard.
-  std::vector<int> count(static_cast<std::size_t>(k), 0);
-  for (int s : out.shard_of) ++count[static_cast<std::size_t>(s)];
-  std::vector<int> remap(static_cast<std::size_t>(k), -1);
-  int next = 0;
-  for (int s = 0; s < k; ++s) {
-    if (count[static_cast<std::size_t>(s)] > 0) {
-      remap[static_cast<std::size_t>(s)] = next++;
-    }
-  }
-  if (next != k) {
-    for (int& s : out.shard_of) s = remap[static_cast<std::size_t>(s)];
-  }
-  out.shards = next;
+  // Shards holding a hub or grown by a pass form a prefix of the ids,
+  // so the ids are compact and the engine never sees an empty shard.
+  out.shards =
+      *std::max_element(out.shard_of.begin(), out.shard_of.end()) + 1;
   out.hubs = std::move(hubs);
   return out;
 }
@@ -163,17 +85,17 @@ ShardPartition partition_shards(const Graph& g, int k,
                                 const PartitionOptions& opt) {
   require(k >= 1, "shard count must be >= 1");
   const int n = g.node_count();
-  if (n == 0) {
+  k = std::min(k, n);
+  if (k <= 1) {  // one shard (or no nodes): nothing to search
     ShardPartition out;
-    out.shards = 1;
+    out.shard_of.assign(static_cast<std::size_t>(n), 0);
     return out;
   }
-  k = std::min(k, n);
 
-  // Hub detection (see header). Meaningless at k = 1, and the absolute
-  // degree floor keeps regular families on the historical path.
+  // Hub detection (see header); the absolute degree floor keeps regular
+  // families hub-free.
   std::vector<NodeId> hubs;
-  if (k > 1 && opt.hub_factor > 0 && g.edge_count() > 0) {
+  if (opt.hub_factor > 0 && g.edge_count() > 0) {
     const double mean =
         2.0 * static_cast<double>(g.edge_count()) / static_cast<double>(n);
     const double cut = std::max(static_cast<double>(opt.hub_min_degree),
@@ -186,8 +108,7 @@ ShardPartition partition_shards(const Graph& g, int k,
              (g.degree(a) == g.degree(b) && a < b);
     });
   }
-  if (hubs.empty()) return partition_greedy(g, k);
-  return partition_with_hubs(g, k, std::move(hubs));
+  return grow_shards(g, k, std::move(hubs));
 }
 
 }  // namespace csca

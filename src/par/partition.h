@@ -17,8 +17,9 @@
 // graph has hubs — degree far above the mean — they are assigned first,
 // round-robin across shards in descending degree order, so hub-incident
 // event load spreads over all workers; the greedy growth then fills the
-// shards around them. Graphs without hubs (grids, paths, gnp) take the
-// historical code path, bit for bit.
+// shards around them. One growth routine serves both cases: a graph
+// without hubs (grids, paths, gnp) simply seeds no frontier from hubs.
+// k = 1 is trivial: every node on shard 0, no search.
 //
 // src/partition/ (the paper's radius covers) solves a different
 // problem: its clusters overlap by construction, and an event must have
@@ -49,8 +50,7 @@ struct ShardPartition {
 
 /// Hub detection knobs. A node is a delegate hub when its degree is at
 /// least hub_factor times the mean degree AND at least hub_min_degree;
-/// the absolute floor keeps every small/regular test graph on the
-/// historical partition path.
+/// the absolute floor keeps every small/regular test graph hub-free.
 struct PartitionOptions {
   int hub_factor = 8;
   int hub_min_degree = 64;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "graph/shortest_paths.h"
 
@@ -17,75 +16,68 @@ std::vector<Weight> restricted_distances(const Graph& g, NodeId src,
           "source must be allowed");
   std::vector<Weight> dist(static_cast<std::size_t>(g.node_count()),
                            ShortestPaths::kUnreachable);
-  using Entry = std::pair<Weight, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(src)] = 0;
-  heap.emplace(0, src);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<std::size_t>(v)]) continue;
-    for (const Arc a : g.neighbors(v)) {
-      const NodeId u = a.node;
-      if (!allowed[static_cast<std::size_t>(u)]) continue;
-      const Weight nd = d + g.weight(a.edge);
-      Weight& du = dist[static_cast<std::size_t>(u)];
-      if (du == ShortestPaths::kUnreachable || nd < du) {
-        du = nd;
-        heap.emplace(nd, u);
-      }
-    }
-  }
+  IndexedHeap heap;
+  const auto admit = [&](Arc a) {
+    return allowed[static_cast<std::size_t>(a.node)] != 0;
+  };
+  shortest_path_search(g, src, admit, kNoNode, heap, dist, nullptr);
   return dist;
 }
 
 namespace {
-std::vector<char> membership(const Graph& g, const Cluster& s) {
-  std::vector<char> in(static_cast<std::size_t>(g.node_count()), 0);
-  for (NodeId v : s) {
-    g.check_node(v);
-    in[static_cast<std::size_t>(v)] = 1;
-  }
-  return in;
+// The checks of is_cluster that need no search.
+bool well_formed(const Graph& g, const Cluster& s) {
+  if (s.empty()) return false;
+  if (!std::is_sorted(s.begin(), s.end())) return false;
+  if (std::adjacent_find(s.begin(), s.end()) != s.end()) return false;
+  return s.front() >= 0 && s.back() < g.node_count();
 }
 
-// Eccentricity of src within the induced subgraph; kUnreachable if some
-// cluster node cannot be reached inside the cluster.
-Weight restricted_eccentricity(const Graph& g, const Cluster& s,
-                               NodeId src, const std::vector<char>& in) {
-  const auto dist = restricted_distances(g, src, in);
-  Weight ecc = 0;
-  for (NodeId v : s) {
-    const Weight d = dist[static_cast<std::size_t>(v)];
-    if (d == ShortestPaths::kUnreachable) return ShortestPaths::kUnreachable;
-    ecc = std::max(ecc, d);
-  }
-  return ecc;
+std::vector<char> membership(const Graph& g, const Cluster& s) {
+  std::vector<char> in(static_cast<std::size_t>(g.node_count()), 0);
+  for (NodeId v : s) in[static_cast<std::size_t>(v)] = 1;
+  return in;
 }
 }  // namespace
 
 bool is_cluster(const Graph& g, const Cluster& s) {
-  if (s.empty()) return false;
-  if (!std::is_sorted(s.begin(), s.end())) return false;
-  if (std::adjacent_find(s.begin(), s.end()) != s.end()) return false;
-  if (s.front() < 0 || s.back() >= g.node_count()) return false;
-  const auto in = membership(g, s);
-  return restricted_eccentricity(g, s, s.front(), in) !=
-         ShortestPaths::kUnreachable;
+  if (!well_formed(g, s)) return false;
+  const auto dist = restricted_distances(g, s.front(), membership(g, s));
+  return std::none_of(s.begin(), s.end(), [&](NodeId v) {
+    return dist[static_cast<std::size_t>(v)] == ShortestPaths::kUnreachable;
+  });
 }
 
 namespace {
+// One search per cluster node, sharing a distance array and a heap: a
+// search labels no node outside the cluster, so only the cluster's
+// entries are reset between searches.
 std::pair<NodeId, Weight> center_and_radius(const Graph& g,
                                             const Cluster& s) {
-  require(is_cluster(g, s), "argument must be a valid cluster");
+  require(well_formed(g, s), "argument must be a valid cluster");
   const auto in = membership(g, s);
-  NodeId best = s.front();
-  Weight best_ecc = restricted_eccentricity(g, s, best, in);
-  for (std::size_t i = 1; i < s.size(); ++i) {
-    const Weight ecc = restricted_eccentricity(g, s, s[i], in);
-    if (ecc < best_ecc) {
+  const auto admit = [&](Arc a) {
+    return in[static_cast<std::size_t>(a.node)] != 0;
+  };
+  std::vector<Weight> dist(in.size(), ShortestPaths::kUnreachable);
+  IndexedHeap heap;
+  NodeId best = kNoNode;
+  Weight best_ecc = 0;
+  for (const NodeId src : s) {
+    for (NodeId v : s) {
+      dist[static_cast<std::size_t>(v)] = ShortestPaths::kUnreachable;
+    }
+    shortest_path_search(g, src, admit, kNoNode, heap, dist, nullptr);
+    Weight ecc = 0;
+    for (NodeId v : s) {
+      const Weight d = dist[static_cast<std::size_t>(v)];
+      require(d != ShortestPaths::kUnreachable,
+              "argument must be a valid cluster");
+      ecc = std::max(ecc, d);
+    }
+    if (best == kNoNode || ecc < best_ecc) {
       best_ecc = ecc;
-      best = s[i];
+      best = src;
     }
   }
   return {best, best_ecc};
@@ -243,8 +235,9 @@ Cover neighborhood_path_cover(const Graph& g) {
   out.clusters.reserve(static_cast<std::size_t>(g.edge_count()));
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& ed = g.edge(e);
-    const auto sp = dijkstra(g, ed.u);
-    auto p = sp.path_to(g, ed.v);
+    // The search stops when ed.v settles: every node on its path has
+    // settled earlier, with its parent edge final.
+    const auto p = dijkstra_until(g, ed.u, ed.v).path_to(g, ed.v);
     Cluster c{ed.u};
     NodeId cur = ed.u;
     for (EdgeId pe : p) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,55 @@
 
 namespace csca {
 namespace {
+
+// All-pairs distances by Floyd-Warshall: an oracle for measure() that
+// shares no code with its sweep (nor with dijkstra()).
+struct AllPairs {
+  std::vector<std::vector<Weight>> dist;
+
+  explicit AllPairs(const Graph& g) {
+    const auto n = static_cast<std::size_t>(g.node_count());
+    const Weight inf = std::numeric_limits<Weight>::max() / 4;
+    dist.assign(n, std::vector<Weight>(n, inf));
+    for (std::size_t v = 0; v < n; ++v) dist[v][v] = 0;
+    for (const Edge& e : g.edges()) {
+      const auto u = static_cast<std::size_t>(e.u);
+      const auto v = static_cast<std::size_t>(e.v);
+      dist[u][v] = dist[v][u] = std::min(dist[u][v], e.w);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          dist[i][j] = std::min(dist[i][j], dist[i][k] + dist[k][j]);
+        }
+      }
+    }
+  }
+
+  // Rad(v, G) = max_u dist(v, u).
+  Weight eccentricity(NodeId v) const {
+    const auto& row = dist[static_cast<std::size_t>(v)];
+    return *std::max_element(row.begin(), row.end());
+  }
+
+  Weight diameter() const {
+    Weight diam = 0;
+    for (std::size_t v = 0; v < dist.size(); ++v) {
+      diam = std::max(diam, eccentricity(static_cast<NodeId>(v)));
+    }
+    return diam;
+  }
+
+  // d = max over edges (u, v) of dist(u, v).
+  Weight max_neighbor_distance(const Graph& g) const {
+    Weight d = 0;
+    for (const Edge& e : g.edges()) {
+      d = std::max(d, dist[static_cast<std::size_t>(e.u)]
+                          [static_cast<std::size_t>(e.v)]);
+    }
+    return d;
+  }
+};
 
 TEST(Measures, PathGraphParameters) {
   Rng rng(1);
@@ -47,8 +97,6 @@ TEST(Measures, DisconnectedRejected) {
   Graph g(3);
   g.add_edge(0, 1, 1);
   EXPECT_THROW(measure(g), PreconditionError);
-  EXPECT_THROW(weighted_diameter(g), PreconditionError);
-  EXPECT_THROW(max_neighbor_distance(g), PreconditionError);
 }
 
 TEST(Measures, OrderingInvariants) {
@@ -102,8 +150,10 @@ TEST(Measures, Fact65SptWeightAtMostNMinusOneTimesV) {
 TEST(Measures, WeightedRadiusAtCenterOfPath) {
   Rng rng(4);
   Graph g = path_graph(5, WeightSpec::constant(2), rng);
-  EXPECT_EQ(weighted_radius(g, 2), 4);
-  EXPECT_EQ(weighted_radius(g, 0), 8);
+  const AllPairs ap(g);
+  EXPECT_EQ(ap.eccentricity(2), 4);
+  EXPECT_EQ(ap.eccentricity(0), 8);
+  EXPECT_EQ(measure(g).comm_D, 8);
 }
 
 TEST(Measures, LowerBoundFamilyMeasures) {
@@ -118,23 +168,10 @@ TEST(Measures, LowerBoundFamilyMeasures) {
   EXPECT_EQ(m.comm_D, static_cast<Weight>(n - 1) * x);
 }
 
-// measure() runs its n single-source passes over one reused scratch;
-// comm_D and d must equal what per-source dijkstra() gives, on every
-// sweep graph and on every family at a larger size.
-Weight reference_diameter(const Graph& g, Weight* d) {
-  Weight diam = 0;
-  *d = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto sp = dijkstra(g, v);
-    for (const Weight du : sp.dist) diam = std::max(diam, du);
-    for (const Arc a : g.neighbors(v)) {
-      *d = std::max(*d, sp.dist[static_cast<std::size_t>(a.node)]);
-    }
-  }
-  return diam;
-}
-
-TEST(Measures, SweepMatchesPerSourceDijkstraOnEveryFamily) {
+// comm_D and d from measure()'s sweep must equal the Floyd-Warshall
+// oracle on every sweep graph, on every family at a larger size, on a
+// geometric graph above n = 256 and on heavy chords with a large W.
+TEST(Measures, SweepMatchesFloydWarshallOnEveryFamily) {
   std::vector<GraphFamily> graphs = builtin_families(/*smoke=*/true);
   for (GraphFamily& f : builtin_families(/*smoke=*/false)) {
     graphs.push_back(std::move(f));
@@ -142,14 +179,15 @@ TEST(Measures, SweepMatchesPerSourceDijkstraOnEveryFamily) {
   for (const std::string& name : family_names()) {
     graphs.push_back({name + "@33", make_family(name, 33, 7)});
   }
+  Rng rng(5);
+  graphs.push_back({"geometric300", random_geometric(300, 0.12, 200, rng)});
+  graphs.push_back(
+      {"heavy_chords_2^40", heavy_chords_graph(64, Weight{1} << 40)});
   for (const GraphFamily& f : graphs) {
-    Weight d = 0;
-    const Weight diam = reference_diameter(f.graph, &d);
+    const AllPairs ap(f.graph);
     const auto m = measure(f.graph);
-    EXPECT_EQ(m.comm_D, diam) << f.name;
-    EXPECT_EQ(m.d, d) << f.name;
-    EXPECT_EQ(weighted_diameter(f.graph), diam) << f.name;
-    EXPECT_EQ(max_neighbor_distance(f.graph), d) << f.name;
+    EXPECT_EQ(m.comm_D, ap.diameter()) << f.name;
+    EXPECT_EQ(m.d, ap.max_neighbor_distance(f.graph)) << f.name;
   }
 }
 

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
+#include "reference_graphs.h"
 
 namespace csca {
 namespace {
@@ -102,18 +106,6 @@ TEST(ShardPartition, HeavyEdgesPreferentiallyInternal) {
 
 // ---- delegate (hub) partitioning ------------------------------------
 
-// `centers` star centers joined in a chain, each with `leaves` leaves.
-// Leaf ids: centers + c*leaves + l for center c.
-Graph hub_chain(int centers, int leaves) {
-  Graph g(centers + centers * leaves);
-  for (NodeId c = 0; c + 1 < centers; ++c) g.add_edge(c, c + 1, 1);
-  NodeId next = centers;
-  for (NodeId c = 0; c < centers; ++c) {
-    for (int l = 0; l < leaves; ++l) g.add_edge(c, next++, 1);
-  }
-  return g;
-}
-
 TEST(ShardPartition, HubsDetectedAndSpreadRoundRobin) {
   // Four degree-71/72 centers clear the 64-degree floor; round-robin
   // assignment must put two on each of two shards instead of letting
@@ -177,6 +169,206 @@ TEST(ShardPartition, SingleShardNeverDelegates) {
   expect_valid(p, g, 1);
   EXPECT_EQ(p.shards, 1);
   EXPECT_TRUE(p.hubs.empty());
+}
+
+// ---- equality with the lazy-deletion heaps --------------------------
+
+// The two growth loops the single IndexedHeap grower replaced, and the
+// dispatch that chose between them, verbatim: the reference every
+// partition below must equal.
+using Cand = std::pair<Weight, NodeId>;
+
+// Max-heap of (attraction, node): attraction is the total weight of
+// edges from `node` into the shard currently being grown. Entries go
+// stale when a node's attraction grows or the node is assigned; stale
+// entries are skipped on pop (lazy deletion). Ties prefer the smaller
+// node id so the result is independent of heap internals.
+bool cand_less(const Cand& a, const Cand& b) {
+  return a.first < b.first || (a.first == b.first && a.second > b.second);
+}
+
+// The historical weighted-greedy BFS: grows shards one at a time to a
+// ceil(n / k) node target. Runs verbatim for hub-free graphs — the
+// delegate path below only wraps it with hub pre-assignment.
+ShardPartition partition_greedy(const Graph& g, int k) {
+  const int n = g.node_count();
+  ShardPartition out;
+  out.shard_of.assign(static_cast<std::size_t>(n), -1);
+  const int target = (n + k - 1) / k;
+
+  std::vector<Weight> attraction(static_cast<std::size_t>(n), 0);
+
+  int assigned = 0;
+  NodeId scan = 0;  // lowest possibly-unassigned node
+  int shard = 0;
+  while (assigned < n) {
+    // Grow one shard to its target size. If the frontier exhausts early
+    // (disconnected remainder), reseed the same shard from the next
+    // unassigned node: each pass fills exactly min(target, remaining)
+    // nodes, so the shard count never exceeds k.
+    std::priority_queue<Cand, std::vector<Cand>, decltype(&cand_less)>
+        frontier(&cand_less);
+    std::fill(attraction.begin(), attraction.end(), Weight{0});
+    int size = 0;
+    while (size < target && assigned < n) {
+      if (frontier.empty()) {
+        while (out.shard_of[static_cast<std::size_t>(scan)] != -1) ++scan;
+        frontier.push({Weight{0}, scan});
+      }
+      const auto [gain, v] = frontier.top();
+      frontier.pop();
+      const auto vi = static_cast<std::size_t>(v);
+      if (out.shard_of[vi] != -1 || gain != attraction[vi]) {
+        continue;  // already assigned, or a stale entry
+      }
+      out.shard_of[vi] = shard;
+      ++size;
+      ++assigned;
+      for (const Arc a : g.neighbors(v)) {
+        const auto ui = static_cast<std::size_t>(a.node);
+        if (out.shard_of[ui] != -1) continue;
+        attraction[ui] += g.weight(a.edge);
+        frontier.push({attraction[ui], a.node});
+      }
+    }
+    ++shard;
+  }
+  out.shards = shard;
+  return out;
+}
+
+// Delegate path: hubs are pre-assigned round-robin (descending degree),
+// then each shard grows around its hubs — the pass's frontier is seeded
+// from the hubs' neighborhoods, so leaves cluster with *a* hub while
+// distinct hubs land on distinct workers.
+ShardPartition partition_with_hubs(const Graph& g, int k,
+                                   std::vector<NodeId> hubs) {
+  const int n = g.node_count();
+  ShardPartition out;
+  out.shard_of.assign(static_cast<std::size_t>(n), -1);
+  for (std::size_t i = 0; i < hubs.size(); ++i) {
+    out.shard_of[static_cast<std::size_t>(hubs[i])] =
+        static_cast<int>(i) % k;
+  }
+  int assigned = static_cast<int>(hubs.size());
+  const int rest = n - assigned;
+  const int target = (rest + k - 1) / k;
+
+  std::vector<Weight> attraction(static_cast<std::size_t>(n), 0);
+  NodeId scan = 0;
+  for (int shard = 0; shard < k && assigned < n; ++shard) {
+    std::priority_queue<Cand, std::vector<Cand>, decltype(&cand_less)>
+        frontier(&cand_less);
+    std::fill(attraction.begin(), attraction.end(), Weight{0});
+    // Seed with the neighborhoods of this shard's hubs.
+    for (std::size_t i = static_cast<std::size_t>(shard); i < hubs.size();
+         i += static_cast<std::size_t>(k)) {
+      for (const Arc a : g.neighbors(hubs[i])) {
+        const auto ui = static_cast<std::size_t>(a.node);
+        if (out.shard_of[ui] != -1) continue;
+        attraction[ui] += g.weight(a.edge);
+        frontier.push({attraction[ui], a.node});
+      }
+    }
+    int size = 0;
+    while (size < target && assigned < n) {
+      if (frontier.empty()) {
+        while (out.shard_of[static_cast<std::size_t>(scan)] != -1) ++scan;
+        frontier.push({Weight{0}, scan});
+      }
+      const auto [gain, v] = frontier.top();
+      frontier.pop();
+      const auto vi = static_cast<std::size_t>(v);
+      if (out.shard_of[vi] != -1 || gain != attraction[vi]) continue;
+      out.shard_of[vi] = shard;
+      ++size;
+      ++assigned;
+      for (const Arc a : g.neighbors(v)) {
+        const auto ui = static_cast<std::size_t>(a.node);
+        if (out.shard_of[ui] != -1) continue;
+        attraction[ui] += g.weight(a.edge);
+        frontier.push({attraction[ui], a.node});
+      }
+    }
+  }
+  // k passes at ceil(rest / k) each cover every non-hub node; anything
+  // else is a bug in the accounting above.
+  require(assigned == n, "hub partition left nodes unassigned");
+
+  // A shard can end up empty only in the degenerate all-hubs case with
+  // fewer hubs than k; compact ids so the engine never sees an empty
+  // shard.
+  std::vector<int> count(static_cast<std::size_t>(k), 0);
+  for (int s : out.shard_of) ++count[static_cast<std::size_t>(s)];
+  std::vector<int> remap(static_cast<std::size_t>(k), -1);
+  int next = 0;
+  for (int s = 0; s < k; ++s) {
+    if (count[static_cast<std::size_t>(s)] > 0) {
+      remap[static_cast<std::size_t>(s)] = next++;
+    }
+  }
+  if (next != k) {
+    for (int& s : out.shard_of) s = remap[static_cast<std::size_t>(s)];
+  }
+  out.shards = next;
+  out.hubs = std::move(hubs);
+  return out;
+}
+
+
+ShardPartition reference_partition(const Graph& g, int k,
+                                   const PartitionOptions& opt) {
+  require(k >= 1, "shard count must be >= 1");
+  const int n = g.node_count();
+  if (n == 0) {
+    ShardPartition out;
+    out.shards = 1;
+    return out;
+  }
+  k = std::min(k, n);
+
+  // Hub detection (see header). Meaningless at k = 1, and the absolute
+  // degree floor keeps regular families on the historical path.
+  std::vector<NodeId> hubs;
+  if (k > 1 && opt.hub_factor > 0 && g.edge_count() > 0) {
+    const double mean =
+        2.0 * static_cast<double>(g.edge_count()) / static_cast<double>(n);
+    const double cut = std::max(static_cast<double>(opt.hub_min_degree),
+                                static_cast<double>(opt.hub_factor) * mean);
+    for (NodeId v = 0; v < n; ++v) {
+      if (static_cast<double>(g.degree(v)) >= cut) hubs.push_back(v);
+    }
+    std::sort(hubs.begin(), hubs.end(), [&](NodeId a, NodeId b) {
+      return g.degree(a) > g.degree(b) ||
+             (g.degree(a) == g.degree(b) && a < b);
+    });
+  }
+  if (hubs.empty()) return partition_greedy(g, k);
+  return partition_with_hubs(g, k, std::move(hubs));
+}
+
+TEST(ShardPartition, MatchesLazyHeapReferenceOnEveryGraph) {
+  PartitionOptions no_hubs;
+  no_hubs.hub_factor = 0;
+  // Every node of at least the mean degree is a hub: on regular graphs
+  // (cycles, and at k = 7 on 9 nodes) the hubs alone fill the shards.
+  PartitionOptions many_hubs;
+  many_hubs.hub_factor = 1;
+  many_hubs.hub_min_degree = 0;
+  for (const GraphFamily& f : reference_graphs(1 << 30)) {
+    for (const int k : {1, 2, 3, 4, 7}) {
+      for (const PartitionOptions& opt :
+           {PartitionOptions{}, no_hubs, many_hubs}) {
+        const ShardPartition ref = reference_partition(f.graph, k, opt);
+        const ShardPartition p = partition_shards(f.graph, k, opt);
+        ASSERT_EQ(p.shards, ref.shards) << f.name << " k=" << k;
+        ASSERT_EQ(p.shard_of, ref.shard_of) << f.name << " k=" << k;
+        ASSERT_EQ(p.hubs, ref.hubs) << f.name << " k=" << k;
+      }
+    }
+  }
+  // The hub chain delegates its centers at every k > 1.
+  EXPECT_EQ(partition_shards(hub_chain(4, 70), 3).hubs.size(), 4u);
 }
 
 }  // namespace

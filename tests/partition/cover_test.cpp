@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
+#include "graph/shortest_paths.h"
+#include "graph/traversal.h"
+#include "reference_graphs.h"
 
 namespace csca {
 namespace {
@@ -161,6 +168,135 @@ TEST(RestrictedDistances, MaskRespected) {
   EXPECT_EQ(dist[4], 2);  // around the other side
   EXPECT_EQ(dist[3], -1);
   EXPECT_THROW(restricted_distances(g, 3, allowed), PreconditionError);
+}
+
+// ---- equality with the lazy-deletion heap ----------------------------
+
+// The lazy-heap restricted search, the cluster center/radius built on it
+// and the full-search path cover that the IndexedHeap kernel, the
+// shared-scratch ClusterSearch and the early-stopping dijkstra_until
+// replaced, verbatim: the references every result below must equal.
+std::vector<Weight> reference_restricted_distances(
+    const Graph& g, NodeId src, const std::vector<char>& allowed) {
+  g.check_node(src);
+  require(allowed.size() == static_cast<std::size_t>(g.node_count()),
+          "allowed mask size must equal node count");
+  require(allowed[static_cast<std::size_t>(src)] != 0,
+          "source must be allowed");
+  std::vector<Weight> dist(static_cast<std::size_t>(g.node_count()),
+                           ShortestPaths::kUnreachable);
+  using Entry = std::pair<Weight, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[static_cast<std::size_t>(src)] = 0;
+  heap.emplace(0, src);
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[static_cast<std::size_t>(v)]) continue;
+    for (const Arc a : g.neighbors(v)) {
+      const NodeId u = a.node;
+      if (!allowed[static_cast<std::size_t>(u)]) continue;
+      const Weight nd = d + g.weight(a.edge);
+      Weight& du = dist[static_cast<std::size_t>(u)];
+      if (du == ShortestPaths::kUnreachable || nd < du) {
+        du = nd;
+        heap.emplace(nd, u);
+      }
+    }
+  }
+  return dist;
+}
+
+std::vector<char> membership(const Graph& g, const Cluster& s) {
+  std::vector<char> in(static_cast<std::size_t>(g.node_count()), 0);
+  for (NodeId v : s) {
+    g.check_node(v);
+    in[static_cast<std::size_t>(v)] = 1;
+  }
+  return in;
+}
+
+// Eccentricity of src within the induced subgraph; kUnreachable if some
+// cluster node cannot be reached inside the cluster.
+Weight restricted_eccentricity(const Graph& g, const Cluster& s,
+                               NodeId src, const std::vector<char>& in) {
+  const auto dist = reference_restricted_distances(g, src, in);
+  Weight ecc = 0;
+  for (NodeId v : s) {
+    const Weight d = dist[static_cast<std::size_t>(v)];
+    if (d == ShortestPaths::kUnreachable) return ShortestPaths::kUnreachable;
+    ecc = std::max(ecc, d);
+  }
+  return ecc;
+}
+
+std::pair<NodeId, Weight> reference_center_and_radius(const Graph& g,
+                                                      const Cluster& s) {
+  require(is_cluster(g, s), "argument must be a valid cluster");
+  const auto in = membership(g, s);
+  NodeId best = s.front();
+  Weight best_ecc = restricted_eccentricity(g, s, best, in);
+  for (std::size_t i = 1; i < s.size(); ++i) {
+    const Weight ecc = restricted_eccentricity(g, s, s[i], in);
+    if (ecc < best_ecc) {
+      best_ecc = ecc;
+      best = s[i];
+    }
+  }
+  return {best, best_ecc};
+}
+
+Cover reference_neighborhood_path_cover(const Graph& g) {
+  Cover out;
+  out.clusters.reserve(static_cast<std::size_t>(g.edge_count()));
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& ed = g.edge(e);
+    const auto sp = dijkstra(g, ed.u);
+    auto p = sp.path_to(g, ed.v);
+    Cluster c{ed.u};
+    NodeId cur = ed.u;
+    for (EdgeId pe : p) {
+      cur = g.other(pe, cur);
+      c.push_back(cur);
+    }
+    std::sort(c.begin(), c.end());
+    c.erase(std::unique(c.begin(), c.end()), c.end());
+    out.clusters.push_back(std::move(c));
+  }
+  return out;
+}
+
+// The references run a full search per edge, so the graphs are the
+// reference set's with at most 1000 edges.
+TEST(Cover, MatchesLazyHeapReferenceOnEveryGraph) {
+  for (const GraphFamily& f : reference_graphs(300)) {
+    const Graph& g = f.graph;
+    if (g.edge_count() > 1000) continue;
+    const int n = g.node_count();
+    std::vector<char> allowed(static_cast<std::size_t>(n));
+    for (std::size_t v = 0; v < allowed.size(); ++v) allowed[v] = v % 3 != 1;
+    for (const NodeId src : {NodeId{0}, n / 2, n - 1}) {
+      if (!allowed[static_cast<std::size_t>(src)]) continue;
+      ASSERT_EQ(restricted_distances(g, src, allowed),
+                reference_restricted_distances(g, src, allowed))
+          << f.name << " from " << src;
+    }
+
+    const Cover paths = neighborhood_path_cover(g);
+    ASSERT_EQ(paths.clusters, reference_neighborhood_path_cover(g).clusters)
+        << f.name;
+    if (!is_connected(g)) continue;  // coarsen needs every node covered
+    std::vector<Cluster> clusters = paths.clusters;
+    for (const int k : {1, 2, 3}) {
+      const Cover t = coarsen(g, paths, k);
+      clusters.insert(clusters.end(), t.clusters.begin(), t.clusters.end());
+    }
+    for (const Cluster& c : clusters) {
+      const auto [center, radius] = reference_center_and_radius(g, c);
+      ASSERT_EQ(cluster_center(g, c), center) << f.name;
+      ASSERT_EQ(cluster_radius(g, c), radius) << f.name;
+    }
+  }
 }
 
 }  // namespace

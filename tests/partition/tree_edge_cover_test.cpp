@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/measures.h"
+#include "graph/traversal.h"
+#include "reference_graphs.h"
 
 namespace csca {
 namespace {
@@ -104,6 +109,61 @@ TEST(TreeEdgeCover, ExplicitKControlsTradeoff) {
   EXPECT_LE(tec3.size(), tec1.size());
   EXPECT_TRUE(covers_all_edges(g, tec1));
   EXPECT_TRUE(covers_all_edges(g, tec3));
+}
+
+// ---- equality with the lazy-deletion heap ----------------------------
+
+// The lazy-heap induced shortest-path tree that the IndexedHeap kernel
+// replaced, verbatim: every cover tree must equal it.
+RootedTree reference_induced_spt(const Graph& g, const Cluster& cluster,
+                                 NodeId leader) {
+  std::vector<char> in(static_cast<std::size_t>(g.node_count()), 0);
+  for (NodeId v : cluster) in[static_cast<std::size_t>(v)] = 1;
+
+  std::vector<Weight> dist(static_cast<std::size_t>(g.node_count()), -1);
+  std::vector<EdgeId> parent(static_cast<std::size_t>(g.node_count()),
+                             kNoEdge);
+  using Entry = std::pair<Weight, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[static_cast<std::size_t>(leader)] = 0;
+  heap.emplace(0, leader);
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[static_cast<std::size_t>(v)]) continue;
+    for (const Arc a : g.neighbors(v)) {
+      const NodeId u = a.node;
+      if (!in[static_cast<std::size_t>(u)]) continue;
+      const Weight nd = d + g.weight(a.edge);
+      Weight& du = dist[static_cast<std::size_t>(u)];
+      if (du == -1 || nd < du) {
+        du = nd;
+        parent[static_cast<std::size_t>(u)] = a.edge;
+        heap.emplace(nd, u);
+      }
+    }
+  }
+  for (NodeId v : cluster) {
+    ensure(dist[static_cast<std::size_t>(v)] != -1,
+           "cluster must induce a connected subgraph");
+  }
+  return RootedTree::from_parent_edges(g, leader, std::move(parent));
+}
+
+TEST(TreeEdgeCover, TreesMatchLazyHeapReferenceOnEveryGraph) {
+  for (const GraphFamily& f : reference_graphs(300)) {
+    const Graph& g = f.graph;
+    if (g.edge_count() > 1000 || !is_connected(g)) continue;
+    const TreeEdgeCover tec = build_tree_edge_cover(g);
+    for (const CoverTree& ct : tec.trees) {
+      const RootedTree ref = reference_induced_spt(g, ct.cluster, ct.leader);
+      ASSERT_EQ(ct.tree.root(), ref.root()) << f.name;
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        ASSERT_EQ(ct.tree.parent_edge(v), ref.parent_edge(v))
+            << f.name << " node " << v;
+      }
+    }
+  }
 }
 
 }  // namespace

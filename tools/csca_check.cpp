@@ -248,6 +248,12 @@ int main(int argc, char** argv) {
                                         backend));
       }
     } else {
+      // A Graph lays out its adjacency on the first read, and that read
+      // must not race (graph/graph.h); the workers share these graphs,
+      // so each one is read here, on this thread, first.
+      for (const GraphFamily& f : families) {
+        if (f.graph.node_count() > 0) (void)f.graph.neighbors(0);
+      }
       RunPool pool(jobs);
       reports = pool.map(sweeps.size(), [&](std::size_t i) {
         const Sweep& s = sweeps[i];
